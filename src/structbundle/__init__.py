@@ -8,9 +8,7 @@ numerically.
 
 from .scalars import GaussRational, TauScalar
 from .functions import BaseSpace, ChartFunction, cos_theta, sin_theta
-from .forms import (Cycle, MatrixForm, OddClass, all_cycles, exterior_d,
-                    interior_t, is_exact, normal_form, period,
-                    poincare_homotopy, trace, wedge)
+from .forms import Cycle, MatrixForm, OddClass, all_cycles
 from .connections import (Connection, GaugeTransform, Idempotent,
                           direct_sum, gauge_apply, grassmann_sum,
                           hermitian_check, tensor)
@@ -34,9 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussRational", "TauScalar",
     "BaseSpace", "ChartFunction", "cos_theta", "sin_theta",
-    "Cycle", "MatrixForm", "OddClass", "all_cycles", "exterior_d",
-    "interior_t", "is_exact", "normal_form", "period", "poincare_homotopy",
-    "trace", "wedge",
+    "Cycle", "MatrixForm", "OddClass", "all_cycles",
     "Connection", "GaugeTransform", "Idempotent", "direct_sum",
     "gauge_apply", "grassmann_sum", "hermitian_check", "tensor",
     "ConnectionPath", "FormPoly", "cs_class", "cs_path", "cs_via_cylinder",

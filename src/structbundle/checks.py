@@ -432,15 +432,14 @@ def check_grassmann_equivalence(gen: RandomGen, cases: int) -> str | None:
         Apoly = FormPoly([comp.A, A])
         R = Apoly.d() + Apoly.wedge(Apoly)
         power = FormPoly([MatrixForm.identity(base, P.size)])
-        j = 1
-        while 2 * j - 1 <= base.dim:
+        for j in range(1, (base.dim + 1) // 2 + 1):
+            if j > 1:
+                power = power.wedge(R)
+                if power.is_zero():
+                    break
             term = FormPoly([A]).wedge(power).trace()
             if any(m for m in term.coeffs):
                 return f"trace term j={j} nonzero"
-            power = power.wedge(R)
-            if power.is_zero():
-                break
-            j += 1
     return None
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .connections import Connection
 from .forms import MatrixForm, OddClass
-from .functions import BaseSpace, ChartFunction
+from .functions import BaseSpace, ChartFunction, accumulate
 from .scalars import TauScalar
 
 
@@ -141,15 +141,14 @@ def cs_path(path: ConnectionPath) -> MatrixForm:
     R = A.d() + A.wedge(A)
     total = FormPoly([])
     Rpow = FormPoly([MatrixForm.identity(path.base, path.rank)])
-    j = 1
-    while 2 * j - 1 <= dim:
+    for j in range(1, (dim + 1) // 2 + 1):
+        if j > 1:
+            Rpow = Rpow.wedge(R)
+            if Rpow.is_zero():
+                break
         term = Ap.wedge(Rpow).trace()
         coeff = TauScalar.tau_power(-j).scale(Fraction(1, math.factorial(j - 1)))
         total = total + FormPoly([m.scale(coeff) for m in term.coeffs])
-        Rpow = Rpow.wedge(R)
-        if Rpow.is_zero():
-            break
-        j += 1
     if total.is_zero():
         return zero
     return total.integrate01()
@@ -207,17 +206,10 @@ def _integrate_t_and_restrict(m: MatrixForm, base: BaseSpace) -> MatrixForm:
         add = None
         for (alpha, k), ts in f.terms.items():
             weight = Fraction(1, alpha[a] + 1)
-            key = ((r, c, newmono), (alpha[:a] + alpha[a + 1:], k))
             g = ChartFunction.monomial(base, alpha[:a] + alpha[a + 1:], k,
                                        ts.scale(weight))
             add = g if add is None else add + g
-        if add:
-            prev = out.get((r, c, newmono))
-            s = add if prev is None else prev + add
-            if s:
-                out[(r, c, newmono)] = s
-            else:
-                out.pop((r, c, newmono), None)
+        accumulate(out, (r, c, newmono), add)
     return MatrixForm(base, m.rows, m.cols, out)
 
 

@@ -96,15 +96,19 @@ def run_task(kind: str, args: tuple, ev: Evaluator, tol: float) -> dict:
                           + f" (defect {defect:.3e}, tol {tol:.1e})"}
 
     if kind == "suite":
-        results = run_battery()
-        bad = [r for r in results if not r.passed]
-        return {"task": label, "verdict": "ok" if not bad else "fail",
-                "output": f"{len(results) - len(bad)}/{len(results)} checks passed",
-                "checks": [{"name": r.name, "statement": r.statement,
-                            "verdict": "ok" if r.passed else "fail",
-                            "detail": r.detail} for r in results]}
+        return _suite_entry(label, run_battery())
 
     raise DslError(f"unknown task kind {kind!r}", 0, 0)
+
+
+def _suite_entry(label: str, results) -> dict:
+    """The report entry of one battery run, with a line per check."""
+    failures = sum(1 for r in results if not r.passed)
+    return {"task": label, "verdict": "ok" if not failures else "fail",
+            "output": f"{len(results) - failures}/{len(results)} checks passed",
+            "checks": [{"name": r.name, "statement": r.statement,
+                        "verdict": "ok" if r.passed else "fail",
+                        "detail": r.detail} for r in results]}
 
 
 def _expect(values, label, *types):
@@ -172,16 +176,9 @@ def cmd_suite(ns) -> int:
     bounds = Bounds(max_coords=ns.bound_coords, max_rank=ns.bound_rank,
                     max_poly_degree=ns.bound_degree)
     results = run_battery(seed=ns.seed, bounds=bounds, scale=ns.scale)
-    failures = [r for r in results if not r.passed]
-    entry = {"task": f"suite seed={ns.seed}",
-             "verdict": "ok" if not failures else "fail",
-             "output": f"{len(results) - len(failures)}/{len(results)} checks passed",
-             "checks": [{"name": r.name, "statement": r.statement,
-                         "verdict": "ok" if r.passed else "fail",
-                         "detail": r.detail} for r in results]}
-    report = {"entries": [entry], "summary": entry["output"]}
-    _emit(report, ns.format)
-    return 0 if not failures else 1
+    entry = _suite_entry(f"suite seed={ns.seed}", results)
+    _emit({"entries": [entry], "summary": entry["output"]}, ns.format)
+    return 0 if entry["verdict"] == "ok" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -78,14 +78,6 @@ class Connection:
                 and self.rank == other.rank and self.A == other.A)
 
 
-def curvature(conn: Connection) -> MatrixForm:
-    return conn.curvature()
-
-
-def chern_character(conn: Connection, top_degree: int | None = None) -> MatrixForm:
-    return conn.chern_character(top_degree)
-
-
 def direct_sum(c1: Connection, c2: Connection) -> Connection:
     if c1.base != c2.base:
         raise ValueError("mismatched base spaces")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .functions import BaseSpace, ChartFunction, TermKey
+from .functions import BaseSpace, ChartFunction, accumulate
 from .scalars import GaussRational, TauScalar
 
 Mono = tuple[int, ...]
@@ -111,12 +111,7 @@ class MatrixForm:
         self._check_shape(other)
         out = dict(self.entries)
         for key, f in other.entries.items():
-            s = out.get(key)
-            s = f if s is None else s + f
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, key, f)
         return MatrixForm(self.base, self.rows, self.cols, out)
 
     def __sub__(self, other: "MatrixForm") -> "MatrixForm":
@@ -159,13 +154,7 @@ class MatrixForm:
                 prod = f1 * f2
                 if sign < 0:
                     prod = -prod
-                key = (r, c2, merged)
-                s = out.get(key)
-                s = prod if s is None else s + prod
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, (r, c2, merged), prod)
         return MatrixForm(self.base, self.rows, other.cols, out)
 
     def wedge_power(self, n: int) -> "MatrixForm":
@@ -190,12 +179,7 @@ class MatrixForm:
                 if sign < 0:
                     prod = -prod
                 key = (r1 * other.rows + r2, c1 * other.cols + c2, merged)
-                s = out.get(key)
-                s = prod if s is None else s + prod
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, key, prod)
         return MatrixForm(self.base, self.rows * other.rows,
                           self.cols * other.cols, out)
 
@@ -217,13 +201,7 @@ class MatrixForm:
                 if below % 2:
                     df = -df
                 newmono = tuple(sorted(mono + (coord,)))
-                key = (r, c, newmono)
-                s = out.get(key)
-                s = df if s is None else s + df
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, (r, c, newmono), df)
         return MatrixForm(self.base, self.rows, self.cols, out)
 
     def contract(self, coord: int) -> "MatrixForm":
@@ -235,13 +213,7 @@ class MatrixForm:
             pos = mono.index(coord)
             newmono = mono[:pos] + mono[pos + 1:]
             g = -f if pos % 2 else f
-            key = (r, c, newmono)
-            s = out.get(key)
-            s = g if s is None else s + g
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, (r, c, newmono), g)
         return MatrixForm(self.base, self.rows, self.cols, out)
 
     def trace(self) -> "MatrixForm":
@@ -251,13 +223,7 @@ class MatrixForm:
         for (r, c, mono), f in self.entries.items():
             if r != c:
                 continue
-            key = (0, 0, mono)
-            s = out.get(key)
-            s = f if s is None else s + f
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, (0, 0, mono), f)
         return MatrixForm(self.base, 1, 1, out)
 
     def transpose(self) -> "MatrixForm":
@@ -318,13 +284,7 @@ class MatrixForm:
         """Return a copy with `other` added at block offset (row0, col0)."""
         out = dict(self.entries)
         for (r, c, mono), f in other.entries.items():
-            key = (r + row0, c + col0, mono)
-            s = out.get(key)
-            s = f if s is None else s + f
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, (r + row0, c + col0, mono), f)
         return MatrixForm(self.base, self.rows, self.cols, out)
 
     # -- homotopy operators and the mod-exact calculus ----------------
@@ -352,15 +312,9 @@ class MatrixForm:
                     weight = Fraction(sign, sum(alpha) + p)
                     nalpha = tuple(e + 1 if j == coord else e
                                    for j, e in enumerate(alpha))
-                    key = (r, c, newmono)
                     add = ChartFunction.monomial(self.base, nalpha, k,
                                                  ts.scale(weight))
-                    s = out.get(key)
-                    s = add if s is None else s + add
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    accumulate(out, (r, c, newmono), add)
         return MatrixForm(self.base, self.rows, self.cols, out)
 
     def retract(self) -> "MatrixForm":
@@ -419,13 +373,7 @@ class MatrixForm:
                 if pos % 2:
                     factor = -factor
                 add = ChartFunction.monomial(self.base, alpha, k, ts.scale(factor))
-                key = (r, c, newmono)
-                s = out.get(key)
-                s = add if s is None else s + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, (r, c, newmono), add)
         return MatrixForm(self.base, self.rows, self.cols, out)
 
     def full_homotopy(self) -> "MatrixForm":
@@ -549,7 +497,7 @@ class OddClass:
 
     @staticmethod
     def of(omega: MatrixForm) -> "OddClass":
-        return OddClass(omega.normal_form())
+        return OddClass(omega)
 
     def __add__(self, other: "OddClass") -> "OddClass":
         return OddClass.of(self.rep + other.rep)
@@ -567,40 +515,3 @@ class OddClass:
         return isinstance(other, OddClass) and self.rep == other.rep
 
     __hash__ = None
-
-
-# thin functional aliases matching the operation surface
-
-def wedge(lhs: MatrixForm, rhs: MatrixForm) -> MatrixForm:
-    return lhs.wedge(rhs)
-
-
-def exterior_d(omega: MatrixForm) -> MatrixForm:
-    return omega.d()
-
-
-def trace(omega: MatrixForm) -> MatrixForm:
-    return omega.trace()
-
-
-def interior_t(omega: MatrixForm, coord: int) -> MatrixForm:
-    """Contraction with a chart coordinate direction."""
-    if not omega.base.is_chart(coord):
-        raise ValueError("interior_t needs a chart coordinate")
-    return omega.contract(coord)
-
-
-def poincare_homotopy(omega: MatrixForm) -> MatrixForm:
-    return omega.chart_homotopy()
-
-
-def normal_form(omega: MatrixForm) -> MatrixForm:
-    return omega.normal_form()
-
-
-def is_exact(omega: MatrixForm) -> bool:
-    return omega.is_exact()
-
-
-def period(omega: MatrixForm, cycle: Cycle) -> TauScalar:
-    return omega.period(cycle)

@@ -21,6 +21,20 @@ from .scalars import GaussRational, TauScalar
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]  # (poly exponents, Fourier indices)
 
 
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value in a sparse map, dropping the key if the sum is zero.
+
+    A new key takes value itself and goes last; the float sums of the
+    numeric evaluation follow this insertion order.
+    """
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 @dataclass(frozen=True)
 class BaseSpace:
     """The product R^a x T^b; coordinates 0..a-1 are chart, a..a+b-1 angles."""
@@ -106,11 +120,7 @@ class ChartFunction:
         self._check(other)
         out = dict(self.terms)
         for key, ts in other.terms.items():
-            s = out.get(key, TauScalar.zero()) + ts
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, key, ts)
         return ChartFunction(self.base, out)
 
     def __sub__(self, other: "ChartFunction") -> "ChartFunction":
@@ -126,11 +136,7 @@ class ChartFunction:
             for (a2, k2), t2 in other.terms.items():
                 key = (tuple(x + y for x, y in zip(a1, a2)),
                        tuple(x + y for x, y in zip(k1, k2)))
-                s = out.get(key, TauScalar.zero()) + t1 * t2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, key, t1 * t2)
         return ChartFunction(self.base, out)
 
     def scale(self, ts: TauScalar) -> "ChartFunction":
@@ -151,12 +157,7 @@ class ChartFunction:
                 if n == 0:
                     continue
                 na = tuple(e - 1 if j == coord else e for j, e in enumerate(alpha))
-                key = (na, k)
-                s = out.get(key, TauScalar.zero()) + ts.scale(n)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, (na, k), ts.scale(n))
         elif base.is_torus(coord):
             j = coord - base.chart_dim
             for (alpha, k), ts in self.terms.items():
@@ -164,9 +165,7 @@ class ChartFunction:
                     continue
                 # d/dtheta e^{i k theta} = i k e^{i k theta}
                 factor = GaussRational.of(0, k[j])
-                s = out.get((alpha, k), TauScalar.zero()) + ts.scale(factor)
-                if s:
-                    out[(alpha, k)] = s
+                accumulate(out, (alpha, k), ts.scale(factor))
         else:
             raise ValueError(f"coordinate {coord} out of range")
         return ChartFunction(base, out)
@@ -183,8 +182,7 @@ class ChartFunction:
         """Symbolic complex conjugation: i -> -i, tau -> -tau, Fourier k -> -k."""
         out: dict[TermKey, TauScalar] = {}
         for (alpha, k), ts in self.terms.items():
-            key = (alpha, tuple(-x for x in k))
-            out[key] = out.get(key, TauScalar.zero()) + ts.conjugate()
+            accumulate(out, (alpha, tuple(-x for x in k)), ts.conjugate())
         return ChartFunction(self.base, out)
 
     # -- structure queries --------------------------------------------
@@ -244,21 +242,6 @@ class ChartFunction:
                 factors.append(f"fexp({phase})")
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def fn_arith(lhs: ChartFunction, op: str, rhs=None) -> ChartFunction:
-    """Named entry point for the function ring operations."""
-    if op == "add":
-        return lhs + rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "partial":
-        return lhs.partial(rhs)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def circle_average(f: ChartFunction, torus_coord: int) -> ChartFunction:
-    return f.circle_average(torus_coord)
 
 
 def cos_theta(base: BaseSpace, j: int = 0, freq: int = 1) -> ChartFunction:

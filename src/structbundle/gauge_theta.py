@@ -58,14 +58,13 @@ def theta_pullback(g: GaugeTransform, top_degree: int | None = None) -> ThetaPul
     top_degree = min(top_degree, base.dim)
     M = g.g_inv.wedge(g.g.d())
     total = MatrixForm.zero(base, 1, 1)
-    power = M  # M^(2j-1), j = 1
-    j = 1
-    while 2 * j - 1 <= top_degree:
+    power = M  # M^(2j-1)
+    for j in range(1, (top_degree + 1) // 2 + 1):
+        if j > 1:
+            power = power.wedge(M).wedge(M)
         if power.is_zero():
             break
         total = total + power.trace().scale(b_coefficient(j))
-        j += 1
-        power = power.wedge(M).wedge(M)
     return ThetaPullback(g, total)
 
 

@@ -97,29 +97,24 @@ def _basepoints(base: BaseSpace):
         yield tuple(v for _ in range(base.dim))
 
 
+def _loop_defects(conn: Connection, tol: float):
+    """Max-norm distance from the identity of the transport around each
+    coordinate torus loop, over the basepoint grid."""
+    ident = np.eye(conn.rank)
+    for j in range(conn.base.torus_dim):
+        for bp in _basepoints(conn.base):
+            S = _transport_refined(conn, Loop(conn.base, j, bp), tol)
+            yield float(np.max(np.abs(S - ident)))
+
+
 def is_trivial_holonomy(conn: Connection, tol: float = DEFAULT_TOL) -> bool:
     """True iff transport around every coordinate torus loop (over the
     basepoint grid) is within tol of the identity in max-norm."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    n = conn.rank
-    ident = np.eye(n)
-    for j in range(conn.base.torus_dim):
-        for bp in _basepoints(conn.base):
-            loop = Loop(conn.base, j, bp)
-            S = _transport_refined(conn, loop, tol)
-            if np.max(np.abs(S - ident)) > tol:
-                return False
-    return True
+    return not any(defect > tol for defect in _loop_defects(conn, tol))
 
 
 def holonomy_defect(conn: Connection, tol: float = DEFAULT_TOL) -> float:
     """Max distance from the identity over all coordinate loops."""
-    n = conn.rank
-    ident = np.eye(n)
-    worst = 0.0
-    for j in range(conn.base.torus_dim):
-        for bp in _basepoints(conn.base):
-            S = _transport_refined(conn, Loop(conn.base, j, bp), tol)
-            worst = max(worst, float(np.max(np.abs(S - ident))))
-    return worst
+    return max([0.0, *_loop_defects(conn, tol)])

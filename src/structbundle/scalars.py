@@ -198,16 +198,3 @@ class TauScalar:
             else:
                 parts.append(f"{c}*tau^{e}")
         return " + ".join(parts)
-
-
-def tau_arith(lhs: TauScalar, op: str, rhs=None) -> TauScalar:
-    """Named entry point for the scalar ring operations."""
-    if op == "add":
-        return lhs + rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "neg":
-        return -lhs
-    if op == "mul_by_tau_power":
-        return lhs.mul_by_tau_power(rhs)
-    raise ValueError(f"unknown op {op!r}")

@@ -5,6 +5,7 @@ Each test states the identity it certifies; random instances come from
 the seeded generator so failures are reproducible.
 """
 
+import hashlib
 import math
 import pathlib
 import time
@@ -279,9 +280,9 @@ def test_12_hermitian_50():
         assert ch.conjugate() == ch
 
 
-def test_13_cli_corpus_and_suite():
+def test_13_cli_corpus_and_suite(capsys):
     """The scenario corpus parses, runs and round-trips; the full suite
-    with seed 42 exits 0 in under 120 s."""
+    with seed 42 exits 0 in under 120 s, with its pinned text report."""
     from structbundle.dsl import parse_scenario
     corpus = sorted((pathlib.Path(__file__).parent.parent
                      / "scenarios").glob("*.sb"))
@@ -291,6 +292,10 @@ def test_13_cli_corpus_and_suite():
         assert parse_scenario(scenario.render()) == scenario
         code = cli.main(["run", str(path)])
         assert code == (1 if "fail" in path.name else 0)
+    capsys.readouterr()
     t0 = time.time()
     assert cli.main(["suite", "--seed", "42"]) == 0
     assert time.time() - t0 < 120.0
+    report = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(report).hexdigest() == (
+        "ca3797f85457e5f1fc735476fd65699a762c1ccdc60e1ef778f1aee69f72b849")
