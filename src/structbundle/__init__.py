@@ -12,8 +12,8 @@ from .forms import Cycle, MatrixForm, OddClass, all_cycles
 from .connections import (Connection, GaugeTransform, Idempotent,
                           direct_sum, gauge_apply, grassmann_sum,
                           hermitian_check, tensor)
-from .chern_simons import (ConnectionPath, FormPoly, cs_class, cs_path,
-                           cs_via_cylinder, equivalent)
+from .chern_simons import (ConnectionPath, cs_class, cs_path, cs_via_cylinder,
+                           equivalent)
 from .gauge_theta import (LambdaVerdict, ThetaPullback, b_coefficient,
                           lambda_gl_test, theta_pullback)
 from .struct_khat import (BundleDescriptor, KHatElement, StructuredBundle,
@@ -35,8 +35,7 @@ __all__ = [
     "Cycle", "MatrixForm", "OddClass", "all_cycles",
     "Connection", "GaugeTransform", "Idempotent", "direct_sum",
     "gauge_apply", "grassmann_sum", "hermitian_check", "tensor",
-    "ConnectionPath", "FormPoly", "cs_class", "cs_path", "cs_via_cylinder",
-    "equivalent",
+    "ConnectionPath", "cs_class", "cs_path", "cs_via_cylinder", "equivalent",
     "LambdaVerdict", "ThetaPullback", "b_coefficient", "lambda_gl_test",
     "theta_pullback",
     "BundleDescriptor", "KHatElement", "StructuredBundle", "ch_khat",

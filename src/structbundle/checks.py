@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import holonomy as holo
-from .chern_simons import ConnectionPath, cs_path, cs_class, cs_via_cylinder, equivalent
+from .chern_simons import (ConnectionPath, _path_curvature, _poly_wedge, cs_class,
+                           cs_path, cs_via_cylinder, equivalent)
 from .connections import (Connection, GaugeTransform, Idempotent, direct_sum,
                           gauge_apply, grassmann_sum, hermitian_check, tensor)
 from .forms import MatrixForm, OddClass, all_cycles, Cycle
@@ -428,17 +429,15 @@ def check_grassmann_equivalence(gen: RandomGen, cases: int) -> str | None:
             return f"base {base}"
         # term-by-term trace vanishing along the splitting path
         A = flat.A - comp.A
-        from .chern_simons import FormPoly
-        Apoly = FormPoly([comp.A, A])
-        R = Apoly.d() + Apoly.wedge(Apoly)
-        power = FormPoly([MatrixForm.identity(base, P.size)])
+        power = [MatrixForm.identity(base, P.size)]
         for j in range(1, (base.dim + 1) // 2 + 1):
+            if j == 2:
+                R = _path_curvature([comp.A, A])
             if j > 1:
-                power = power.wedge(R)
-                if power.is_zero():
+                power = _poly_wedge(power, R)
+                if not any(power):
                     break
-            term = FormPoly([A]).wedge(power).trace()
-            if any(m for m in term.coeffs):
+            if any(A.wedge(p).trace() for p in power):
                 return f"trace term j={j} nonzero"
     return None
 

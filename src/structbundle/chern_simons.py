@@ -21,69 +21,6 @@ from .functions import BaseSpace, ChartFunction, accumulate
 from .scalars import TauScalar
 
 
-class FormPoly:
-    """Polynomial in t with MatrixForm coefficients: sum_k M_k t^k."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: list[MatrixForm]):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        self.coeffs = list(coeffs)
-
-    def __add__(self, other: "FormPoly") -> "FormPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(n):
-            parts = []
-            if k < len(self.coeffs):
-                parts.append(self.coeffs[k])
-            if k < len(other.coeffs):
-                parts.append(other.coeffs[k])
-            out.append(parts[0] if len(parts) == 1 else parts[0] + parts[1])
-        return FormPoly(out)
-
-    def wedge(self, other: "FormPoly") -> "FormPoly":
-        if not self.coeffs or not other.coeffs:
-            return FormPoly([])
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        out: list[MatrixForm | None] = [None] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                w = a.wedge(b)
-                out[i + j] = w if out[i + j] is None else out[i + j] + w
-        base = self.coeffs[0].base
-        rows = self.coeffs[0].rows
-        cols = other.coeffs[0].cols
-        return FormPoly([m if m is not None else MatrixForm.zero(base, rows, cols)
-                         for m in out])
-
-    def d(self) -> "FormPoly":
-        return FormPoly([m.d() for m in self.coeffs])
-
-    def t_derivative(self) -> "FormPoly":
-        return FormPoly([m.scale_rational(k) for k, m in enumerate(self.coeffs)][1:])
-
-    def trace(self) -> "FormPoly":
-        return FormPoly([m.trace() for m in self.coeffs])
-
-    def integrate01(self) -> MatrixForm:
-        """Exact integral over t in [0,1]: sum_k M_k / (k+1)."""
-        if not self.coeffs:
-            raise ValueError("cannot integrate an empty polynomial without shape")
-        total = self.coeffs[0]
-        for k, m in enumerate(self.coeffs[1:], start=1):
-            total = total + m.scale_rational(Fraction(1, k + 1))
-        return total
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
 @dataclass(frozen=True)
 class ConnectionPath:
     """A(t) = sum_k A_k t^k for t in [0,1]; all A_k degree-1 matrices."""
@@ -120,38 +57,52 @@ class ConnectionPath:
             A = A + c
         return Connection(self.base, self.rank, A)
 
-    def form_poly(self) -> FormPoly:
-        return FormPoly(list(self.coefficients))
+
+def _poly_wedge(P: list[MatrixForm], Q: list[MatrixForm]) -> list[MatrixForm]:
+    """t-coefficients of the product of two polynomials in t with
+    MatrixForm coefficients: out[i+j] += P[i] ^ Q[j]."""
+    out: list[MatrixForm | None] = [None] * (len(P) + len(Q) - 1)
+    for i, a in enumerate(P):
+        for j, b in enumerate(Q):
+            w = a.wedge(b)
+            out[i + j] = w if out[i + j] is None else out[i + j] + w
+    return out
+
+
+def _path_curvature(A: list[MatrixForm]) -> list[MatrixForm]:
+    """t-coefficients of the curvature dA + A ^ A of a polynomial path."""
+    R = _poly_wedge(A, A)
+    for k, Ak in enumerate(A):
+        R[k] = Ak.d() + R[k]
+    return R
 
 
 def cs_path(path: ConnectionPath) -> MatrixForm:
     """The transgression form of a polynomial path of connections.
 
     Integrates sum_j 1/(j-1)! tau^-j tr(A'(t) ^ R(t)^(j-1)) exactly over
-    t in [0,1].  Satisfies d(cs_path) = ch(end) - ch(start).
+    t in [0,1]: the t^(k-1+l) coefficient tr(k A_k ^ R^(j-1)_l) has the
+    integral weight k/(k+l).  Satisfies d(cs_path) = ch(end) - ch(start).
     """
-    dim = path.base.dim
-    A = path.form_poly()
-    zero = MatrixForm.zero(path.base, 1, 1)
-    if A.is_zero():
-        return zero
-    Ap = A.t_derivative()
-    if Ap.is_zero():
-        return zero
-    R = A.d() + A.wedge(A)
-    total = FormPoly([])
-    Rpow = FormPoly([MatrixForm.identity(path.base, path.rank)])
-    for j in range(1, (dim + 1) // 2 + 1):
+    A = list(path.coefficients)
+    if not any(A[1:]):
+        return MatrixForm.zero(path.base, 1, 1)
+    out: dict = {}
+    Rpow = [MatrixForm.identity(path.base, path.rank)]
+    for j in range(1, (path.base.dim + 1) // 2 + 1):
+        if j == 2:
+            R = _path_curvature(A)
         if j > 1:
-            Rpow = Rpow.wedge(R)
-            if Rpow.is_zero():
+            Rpow = _poly_wedge(Rpow, R)
+            if not any(Rpow):
                 break
-        term = Ap.wedge(Rpow).trace()
         coeff = TauScalar.tau_power(-j).scale(Fraction(1, math.factorial(j - 1)))
-        total = total + FormPoly([m.scale(coeff) for m in term.coeffs])
-    if total.is_zero():
-        return zero
-    return total.integrate01()
+        for k in range(1, len(A)):
+            for l, Rl in enumerate(Rpow):
+                weight = coeff.scale(Fraction(k, k + l))
+                for key, f in A[k].wedge(Rl).trace().entries.items():
+                    accumulate(out, key, f.scale(weight))
+    return MatrixForm(path.base, 1, 1, out)
 
 
 def cs_class(c0: Connection, c1: Connection) -> OddClass:

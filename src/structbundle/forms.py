@@ -129,10 +129,6 @@ class MatrixForm:
         return MatrixForm(self.base, self.rows, self.cols,
                           {k: f.scale_rational(q) for k, f in self.entries.items()})
 
-    def scale_fn(self, g: ChartFunction) -> "MatrixForm":
-        return MatrixForm(self.base, self.rows, self.cols,
-                          {k: f * g for k, f in self.entries.items()})
-
     # -- multiplicative structure -------------------------------------
 
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
@@ -273,10 +269,6 @@ class MatrixForm:
         return MatrixForm(self.base, self.rows, self.cols,
                           {k: f for k, f in self.entries.items() if len(k[2]) % 2 == 0})
 
-    def entry(self, r: int, c: int) -> dict[Mono, ChartFunction]:
-        return {mono: f for (rr, cc, mono), f in self.entries.items()
-                if rr == r and cc == c}
-
     def coefficient(self, mono: Mono, r: int = 0, c: int = 0) -> ChartFunction:
         return self.entries.get((r, c, tuple(mono)), ChartFunction.zero(self.base))
 
@@ -397,12 +389,6 @@ class MatrixForm:
         if self.d():
             return False
         return not self.normal_form()
-
-    def antiderivative(self) -> "MatrixForm":
-        """A primitive of an exact form (omega = d(result))."""
-        if not self.is_exact():
-            raise ValueError("form is not exact")
-        return self.full_homotopy()
 
     # -- periods ------------------------------------------------------
 

@@ -199,14 +199,6 @@ class ChartFunction:
 
     __hash__ = None
 
-    def constant_term(self) -> TauScalar:
-        key = ((0,) * self.base.chart_dim, (0,) * self.base.torus_dim)
-        return self.terms.get(key, TauScalar.zero())
-
-    def chart_degree(self) -> int:
-        """Max total polynomial degree (0 for the zero function)."""
-        return max((sum(a) for (a, _k) in self.terms), default=0)
-
     # -- numeric boundary ---------------------------------------------
 
     def eval_numeric(self, xs, thetas) -> complex:

@@ -71,8 +71,9 @@ def parallel_transport(conn: Connection, loop: Loop,
     for m in range(steps):
         u = m * h
         k1 = _transport_matrix(conn, loop, u) @ S
-        k2 = _transport_matrix(conn, loop, u + h / 2) @ (S + h / 2 * k1)
-        k3 = _transport_matrix(conn, loop, u + h / 2) @ (S + h / 2 * k2)
+        mid = _transport_matrix(conn, loop, u + h / 2)
+        k2 = mid @ (S + h / 2 * k1)
+        k3 = mid @ (S + h / 2 * k2)
         k4 = _transport_matrix(conn, loop, u + h) @ (S + h * k3)
         S = S + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return S

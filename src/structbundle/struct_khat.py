@@ -10,10 +10,10 @@ a finite direct sum of line bundles, constructed degree by degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern_simons import ConnectionPath, cs_path, cs_class, equivalent
+from .chern_simons import cs_class
 from .connections import Connection, Idempotent, direct_sum, tensor
 from .forms import MatrixForm, OddClass
 from .functions import BaseSpace, ChartFunction
@@ -48,11 +48,6 @@ class StructuredBundle:
     def from_idempotent(P: Idempotent) -> "StructuredBundle":
         from .connections import grassmann_sum
         return StructuredBundle(grassmann_sum(P), ("idempotent", P))
-
-    def same_class(self, other: "StructuredBundle") -> bool:
-        """Same structured-bundle class: equal ranks, equivalent connections."""
-        return (self.rank == other.rank
-                and equivalent(self.connection, other.connection))
 
     def is_frame_flat(self) -> bool:
         return self.connection.A.is_zero()
@@ -129,6 +124,7 @@ def realize_odd_form(rho: MatrixForm) -> StructuredBundle:
     lines: list[MatrixForm] = []
     tau = TauScalar.tau_power(1)
     remainder = rho.normal_form()
+    realized = MatrixForm.zero(base, 1, 1)
     rounds = 0
     while remainder:
         rounds += 1
@@ -144,9 +140,7 @@ def realize_odd_form(rho: MatrixForm) -> StructuredBundle:
                 w = w + MatrixForm.scalar(base, xf, (mono[2 * m + 1],))
             w = w + MatrixForm.scalar(base, f, (mono[-1],))
             lines.append(w.scale(tau))
-        realized = MatrixForm.zero(base, 1, 1)
-        for w in lines:
-            realized = realized + _line_cs(w)
+            realized = realized + _line_cs(lines[-1])
         remainder = (rho - realized).normal_form()
         if remainder and remainder.max_degree() >= deg:
             raise AssertionError("realization did not reduce the top degree")

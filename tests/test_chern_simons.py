@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from structbundle.chern_simons import (ConnectionPath, FormPoly, cs_class,
-                                       cs_path, cs_via_cylinder, equivalent)
+import structbundle
+from structbundle.chern_simons import (ConnectionPath, cs_class, cs_path,
+                                       cs_via_cylinder, equivalent)
 from structbundle.connections import Connection, GaugeTransform, gauge_apply
 from structbundle.forms import Cycle, MatrixForm
 from structbundle.functions import BaseSpace, ChartFunction
@@ -18,12 +19,24 @@ def circle_connection(k):
     return Connection(b, 1, w)
 
 
-def test_form_poly_integration():
-    b = BaseSpace(1, 0)
-    one = MatrixForm.scalar(b, ChartFunction.one(b), ())
-    # integral of 1 + 2t + 3t^2 over [0,1] is 3
-    p = FormPoly([one, one.scale_rational(2), one.scale_rational(3)])
-    assert p.integrate01() == one.scale_rational(3)
+def test_high_degree_paths_match_cylinder():
+    # t-degrees 3 and 4 reach integral weights k/(k+l) with k > 2
+    gen = RandomGen(59)
+    for _ in range(12):
+        base = gen.base_space(min_dim=2)
+        n = gen.rng.randint(1, 2)
+        coeffs = tuple(gen.matrix_one_form(base, n)
+                       for _ in range(gen.rng.randint(4, 5)))
+        path = ConnectionPath(base, n, coeffs)
+        cs = cs_path(path)
+        assert cs == cs_via_cylinder(path)
+        assert cs.d() == (path.at1().chern_character()
+                          - path.at0().chern_character())
+
+
+def test_public_names_resolve():
+    for name in structbundle.__all__:
+        assert hasattr(structbundle, name), name
 
 
 def test_transgression_identity():
