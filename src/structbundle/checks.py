@@ -52,9 +52,6 @@ CHECKS: list[tuple[str, str, int]] = []
 
 def check(name: str, statement: str, default_cases: int):
     def wrap(fn):
-        fn.check_name = name
-        fn.statement = statement
-        fn.default_cases = default_cases
         CHECKS.append((name, statement, default_cases))
         _REGISTRY[name] = fn
         return fn

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .connections import Connection
 from .forms import MatrixForm, OddClass
-from .functions import BaseSpace, ChartFunction, accumulate
-from .scalars import TauScalar
+from .functions import BaseSpace, ChartFunction
+from .scalars import TauScalar, accumulate
 
 
 @dataclass(frozen=True)

@@ -140,10 +140,7 @@ def cmd_check(ns) -> int:
     try:
         scenario = _load(ns.file)
         evaluate_defs(scenario)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DslError as exc:
+    except (OSError, DslError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {"entries": [],
@@ -159,10 +156,7 @@ def cmd_run(ns) -> int:
         ev = evaluate_defs(scenario)
         entries = [run_task(kind, args, ev, ns.tol)
                    for kind, args in scenario.tasks]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DslError as exc:
+    except (OSError, DslError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = sum(1 for e in entries if e["verdict"] != "ok")

@@ -36,15 +36,15 @@ class Connection:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def flat(base: BaseSpace, rank: int, hermitian: bool = False) -> "Connection":
-        return Connection(base, rank, MatrixForm.zero(base, rank, rank), hermitian)
+    def flat(base: BaseSpace, rank: int) -> "Connection":
+        return Connection(base, rank, MatrixForm.zero(base, rank, rank))
 
     @staticmethod
-    def line(w: MatrixForm, hermitian: bool = False) -> "Connection":
+    def line(w: MatrixForm) -> "Connection":
         """Line bundle connection from a scalar 1-form."""
         if w.rows != 1 or w.cols != 1:
             raise ValueError("line connection needs a scalar 1-form")
-        return Connection(w.base, 1, w, hermitian)
+        return Connection(w.base, 1, w)
 
     # -- derived forms ------------------------------------------------
 
@@ -52,17 +52,14 @@ class Connection:
         """R = dA + A ^ A."""
         return self.A.d() + self.A.wedge(self.A)
 
-    def chern_character(self, top_degree: int | None = None) -> MatrixForm:
+    def chern_character(self) -> MatrixForm:
         """rank + sum_{j>=1} (1/j!) tau^{-j} tr(R^j); closed even form."""
         dim = self.base.dim
-        if top_degree is None:
-            top_degree = dim
-        top_degree = min(top_degree, dim)
         result = MatrixForm.const_scalar(self.base, TauScalar.rational(self.rank))
         R = self.curvature()
         power = MatrixForm.identity(self.base, self.rank)
         j = 0
-        while 2 * (j + 1) <= top_degree:
+        while 2 * (j + 1) <= dim:
             j += 1
             power = power.wedge(R)
             if not power:

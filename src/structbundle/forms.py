@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .functions import BaseSpace, ChartFunction, accumulate
-from .scalars import GaussRational, TauScalar
+from .functions import BaseSpace, ChartFunction
+from .scalars import GaussRational, TauScalar, accumulate
 
 Mono = tuple[int, ...]
 
@@ -84,13 +84,6 @@ class MatrixForm:
     @staticmethod
     def const_scalar(base: BaseSpace, ts: TauScalar, mono: Mono = ()) -> "MatrixForm":
         return MatrixForm.scalar(base, ChartFunction.constant(base, ts), mono)
-
-    @staticmethod
-    def differential(base: BaseSpace, coord: int) -> "MatrixForm":
-        """The 1x1 coordinate differential for coordinate index coord."""
-        if not (0 <= coord < base.dim):
-            raise ValueError(f"coordinate {coord} out of range")
-        return MatrixForm.scalar(base, ChartFunction.one(base), (coord,))
 
     @staticmethod
     def from_function_matrix(base: BaseSpace, rows: int, cols: int,
@@ -385,10 +378,9 @@ class MatrixForm:
         return self.harmonic_part() + self.d().full_homotopy()
 
     def is_exact(self) -> bool:
-        """True iff the form is d of something: closed with zero normal form."""
-        if self.d():
-            return False
-        return not self.normal_form()
+        """True iff the form is d of something: closed with zero harmonic
+        part (the normal form of a closed form)."""
+        return not self.d() and not self.harmonic_part()
 
     # -- periods ------------------------------------------------------
 
@@ -470,29 +462,26 @@ def all_cycles(base: BaseSpace, parity: int | None = None):
 class OddClass:
     """An odd form reduced to its canonical representative mod exact."""
 
-    rep: MatrixForm
-
-    def __post_init__(self):
-        if self.rep.rows != 1 or self.rep.cols != 1:
-            raise ValueError("OddClass needs a scalar form")
-        nf = self.rep.normal_form()
-        if nf != self.rep:
-            self.rep = nf
-        if self.rep.even_part():
-            raise ValueError("OddClass has even-degree components")
+    rep: MatrixForm  # already in normal form; build through OddClass.of
 
     @staticmethod
     def of(omega: MatrixForm) -> "OddClass":
-        return OddClass(omega)
+        if omega.rows != 1 or omega.cols != 1:
+            raise ValueError("OddClass needs a scalar form")
+        rep = omega.normal_form()
+        if rep.even_part():
+            raise ValueError("OddClass has even-degree components")
+        return OddClass(rep)
 
+    # the normal form is linear, so sums of normal forms are normal
     def __add__(self, other: "OddClass") -> "OddClass":
-        return OddClass.of(self.rep + other.rep)
+        return OddClass(self.rep + other.rep)
 
     def __neg__(self) -> "OddClass":
-        return OddClass.of(-self.rep)
+        return OddClass(-self.rep)
 
     def __sub__(self, other: "OddClass") -> "OddClass":
-        return OddClass.of(self.rep - other.rep)
+        return OddClass(self.rep - other.rep)
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()

@@ -16,23 +16,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GaussRational, TauScalar
+from .scalars import GaussRational, TauScalar, accumulate
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]  # (poly exponents, Fourier indices)
-
-
-def accumulate(out: dict, key, value) -> None:
-    """out[key] += value in a sparse map, dropping the key if the sum is zero.
-
-    A new key takes value itself and goes last; the float sums of the
-    numeric evaluation follow this insertion order.
-    """
-    s = out.get(key)
-    s = value if s is None else s + value
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
 
 
 @dataclass(frozen=True)
@@ -214,26 +200,7 @@ class ChartFunction:
         return total
 
     def __repr__(self) -> str:
-        return f"ChartFunction({self})"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            alpha, k = key
-            factors = [f"({self.terms[key]})"]
-            for j, e in enumerate(alpha):
-                if e == 1:
-                    factors.append(f"x{j + 1}")
-                elif e > 1:
-                    factors.append(f"x{j + 1}^{e}")
-            nz = [(j, kk) for j, kk in enumerate(k) if kk]
-            if nz:
-                phase = "+".join(f"{kk}*th{j + 1}" for j, kk in nz)
-                factors.append(f"fexp({phase})")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return f"ChartFunction({self.base!r}, {self.terms!r})"
 
 
 def cos_theta(base: BaseSpace, j: int = 0, freq: int = 1) -> ChartFunction:

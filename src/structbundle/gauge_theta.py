@@ -50,16 +50,13 @@ class ThetaPullback:
     form: MatrixForm
 
 
-def theta_pullback(g: GaugeTransform, top_degree: int | None = None) -> ThetaPullback:
+def theta_pullback(g: GaugeTransform) -> ThetaPullback:
     """g*Theta truncated at the base dimension."""
     base = g.base
-    if top_degree is None:
-        top_degree = base.dim
-    top_degree = min(top_degree, base.dim)
     M = g.g_inv.wedge(g.g.d())
     total = MatrixForm.zero(base, 1, 1)
     power = M  # M^(2j-1)
-    for j in range(1, (top_degree + 1) // 2 + 1):
+    for j in range(1, (base.dim + 1) // 2 + 1):
         if j > 1:
             power = power.wedge(M).wedge(M)
         if power.is_zero():

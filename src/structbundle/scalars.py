@@ -5,6 +5,10 @@ formal generator tau over the Gaussian rationals.  tau stands for the
 constant 2*pi*i; keeping it symbolic makes every normalization factor
 (1/tau)^j an exact ring element.  Nothing in this module ever rounds --
 the only place tau acquires its numeric value is the holonomy module.
+
+Every sparse sum in the exact rings goes through ``accumulate``: a sum
+that cancels to zero drops its key, and a new key goes last.  The float
+sums of the numeric evaluation follow that insertion order.
 """
 
 from __future__ import annotations
@@ -12,6 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value in a sparse map, dropping the key if the sum is zero.
+
+    A new key takes value itself and goes last.
+    """
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 @dataclass(frozen=True)
@@ -46,16 +63,11 @@ class GaussRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
 
 
 QI_ZERO = GaussRational()
@@ -107,11 +119,7 @@ class TauScalar:
     def __add__(self, other: "TauScalar") -> "TauScalar":
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, QI_ZERO) + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
+            accumulate(out, exp, c)
         return TauScalar(out)
 
     def __sub__(self, other: "TauScalar") -> "TauScalar":
@@ -124,13 +132,7 @@ class TauScalar:
         out: dict[int, GaussRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                p = c1 * c2
-                e = e1 + e2
-                s = out.get(e, QI_ZERO) + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                accumulate(out, e1 + e2, c1 * c2)
         return TauScalar(out)
 
     def mul_by_tau_power(self, shift: int) -> "TauScalar":
@@ -138,8 +140,10 @@ class TauScalar:
 
     def scale(self, q) -> "TauScalar":
         """Multiply by a plain rational (or GaussRational)."""
-        g = q if isinstance(q, GaussRational) else GaussRational.of(q)
-        return TauScalar({e: c * g for e, c in self.terms.items()})
+        if isinstance(q, GaussRational):
+            return TauScalar({e: c * q for e, c in self.terms.items()})
+        return TauScalar({e: GaussRational(c.re * q, c.im * q)
+                          for e, c in self.terms.items()})
 
     def conjugate(self) -> "TauScalar":
         """Complex conjugation with tau -> -tau (since conj(2*pi*i) = -2*pi*i)."""
@@ -183,18 +187,4 @@ class TauScalar:
     __hash__ = None  # mutable-looking container; not intended as dict key
 
     def __repr__(self) -> str:
-        return f"TauScalar({self})"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*tau")
-            else:
-                parts.append(f"{c}*tau^{e}")
-        return " + ".join(parts)
+        return f"TauScalar({self.terms!r})"

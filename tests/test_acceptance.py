@@ -282,7 +282,8 @@ def test_12_hermitian_50():
 
 def test_13_cli_corpus_and_suite(capsys):
     """The scenario corpus parses, runs and round-trips; the full suite
-    with seed 42 exits 0 in under 120 s, with its pinned text report."""
+    with seed 42 exits 0 in under 120 s, with its pinned text report.
+    12-suite.sb, the one corpus report without a golden, is pinned here."""
     from structbundle.dsl import parse_scenario
     corpus = sorted((pathlib.Path(__file__).parent.parent
                      / "scenarios").glob("*.sb"))
@@ -290,8 +291,13 @@ def test_13_cli_corpus_and_suite(capsys):
     for path in corpus:
         scenario = parse_scenario(path.read_text())
         assert parse_scenario(scenario.render()) == scenario
+        capsys.readouterr()
         code = cli.main(["run", str(path)])
         assert code == (1 if "fail" in path.name else 0)
+        if path.name == "12-suite.sb":
+            report = capsys.readouterr().out.encode("utf-8")
+            assert hashlib.sha256(report).hexdigest() == (
+                "16d4f2f53161a4811ed4f58f1a23baf85332b28e3d2949760f067ea8f9c2f94d")
     capsys.readouterr()
     t0 = time.time()
     assert cli.main(["suite", "--seed", "42"]) == 0

@@ -6,9 +6,9 @@ import structbundle
 from structbundle.chern_simons import (ConnectionPath, cs_class, cs_path,
                                        cs_via_cylinder, equivalent)
 from structbundle.connections import Connection, GaugeTransform, gauge_apply
-from structbundle.forms import Cycle, MatrixForm
+from structbundle.forms import Cycle, MatrixForm, OddClass
 from structbundle.functions import BaseSpace, ChartFunction
-from structbundle.randgen import RandomGen
+from structbundle.randgen import Bounds, RandomGen
 from structbundle.scalars import TauScalar
 
 
@@ -89,6 +89,23 @@ def test_class_addition_matches_composition():
     base = BaseSpace(1, 1)
     a, b, c = (gen.connection(base, 2) for _ in range(3))
     assert cs_class(a, b) + cs_class(b, c) == cs_class(a, c)
+
+
+def test_class_sums_stay_normal():
+    # the normal form is linear, so OddClass sums skip normalising again
+    gen = RandomGen(61, Bounds(max_coords=3, max_rank=2))
+    for _ in range(30):
+        base = gen.base_space()
+        n = gen.rng.randint(1, 2)
+        c0, c1, c2 = (gen.connection(base, n) for _ in range(3))
+        if base.torus_dim:
+            # a constant dtheta term gives the classes a harmonic part
+            const = ChartFunction.constant(base, gen.tau_scalar(1))
+            c2 = Connection(base, n, c2.A + MatrixForm(
+                base, n, n, {(i, i, (base.chart_dim,)): const for i in range(n)}))
+        a, b = cs_class(c0, c1), cs_class(c1, c2)
+        assert a + b == OddClass.of(a.rep + b.rep)
+        assert (a - b).rep == (a - b).rep.normal_form()
 
 
 def test_gauge_orbit_class_matches_winding_form():

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from structbundle.functions import BaseSpace, ChartFunction, cos_theta, sin_theta
 from structbundle.randgen import RandomGen
-from structbundle.scalars import TauScalar
+from structbundle.scalars import GaussRational, TauScalar
 
 
 def test_base_space_validation():
@@ -62,3 +63,15 @@ def test_product_rule_random():
         f, g = gen.chart_function(b), gen.chart_function(b)
         j = gen.rng.randrange(b.dim)
         assert (f * g).partial(j) == f.partial(j) * g + f * g.partial(j)
+
+
+def test_repr_round_trips():
+    names = {"BaseSpace": BaseSpace, "ChartFunction": ChartFunction,
+             "Fraction": Fraction, "GaussRational": GaussRational,
+             "TauScalar": TauScalar}
+    gen = RandomGen(17)
+    for _ in range(50):
+        t = gen.tau_scalar(3)
+        assert eval(repr(t), names) == t
+        f = gen.chart_function(gen.base_space(), 3)
+        assert eval(repr(f), names) == f

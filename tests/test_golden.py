@@ -2,9 +2,9 @@
 
 The README promises reports that are byte-stable for a fixed input, so
 each text and json report of scenarios 01-11 is pinned by its SHA-256.
-A refactor that changes any byte of a report fails here.  The report of
-``suite --seed 42`` is pinned in test_acceptance.test_13, which already
-runs it.
+A refactor that changes any byte of a report fails here.  The reports of
+12-suite.sb and of ``suite --seed 42`` are pinned in
+test_acceptance.test_13, which already runs them.
 """
 
 import hashlib

@@ -50,6 +50,25 @@ def test_numeric_evaluation_matches_symbols():
     assert abs(t.to_complex() - (tau ** 2 / 4 + 1j)) < 1e-12
 
 
+def test_sums_keep_key_order():
+    # a new exponent goes last and a cancelled one is dropped; the float
+    # sum of to_complex follows this order
+    x, y, z = (GaussRational.of(1, 2), GaussRational.of(3), GaussRational.of(0, 5))
+    s = TauScalar({2: x, -1: y}) + TauScalar({0: z, 2: -x})
+    assert list(s.terms) == [-1, 0]
+    one, tau = TauScalar.one(), TauScalar.tau_power(1)
+    assert list(((one + tau) * (one - tau)).terms) == [0, 2]
+
+
+def test_rational_scale_matches_gaussian_scale():
+    gen = RandomGen(13)
+    for _ in range(100):
+        t, q = gen.tau_scalar(), gen.rational()
+        assert t.scale(q) == t.scale(GaussRational.of(q))
+        assert t.scale(q.numerator) == t.scale(GaussRational.of(q.numerator))
+        assert t.scale(0).is_zero()
+
+
 def test_ring_axioms_random():
     gen = RandomGen(11)
     for _ in range(300):
