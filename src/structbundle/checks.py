@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import holonomy as holo
 from .chern_simons import (ConnectionPath, _path_curvature, _poly_wedge, cs_class,
                            cs_path, cs_via_cylinder, equivalent)
-from .connections import (Connection, GaugeTransform, Idempotent, direct_sum,
+from .connections import (Connection, GaugeTransform, direct_sum,
                           gauge_apply, grassmann_sum, hermitian_check, tensor)
 from .forms import MatrixForm, OddClass, all_cycles, Cycle
 from .functions import BaseSpace, ChartFunction
@@ -39,12 +39,6 @@ class CheckResult:
     cases: int
     seconds: float
     detail: str = ""
-
-    def line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        extra = f" ({self.detail})" if self.detail else ""
-        return (f"{verdict}  {self.name}: {self.statement} "
-                f"[{self.cases} cases, {self.seconds:.2f}s]{extra}")
 
 
 CHECKS: list[tuple[str, str, int]] = []
@@ -682,13 +676,8 @@ def check_holonomy_gauge(gen: RandomGen, cases: int) -> str | None:
         loop = holo.Loop(base, j, bp)
         T0 = holo.parallel_transport(conn, loop, 2048)
         T1 = holo.parallel_transport(gauge_apply(g, conn), loop, 2048)
-        xs, th = loop.point(0.0)
-        gm = np.zeros((n, n), complex)
-        gi = np.zeros((n, n), complex)
-        for (r, c, _m), f in g.g.entries.items():
-            gm[r, c] = f.eval_numeric(xs, th)
-        for (r, c, _m), f in g.g_inv.entries.items():
-            gi[r, c] = f.eval_numeric(xs, th)
+        gm = holo._numeric_field(g.g, (), loop)(0.0)
+        gi = holo._numeric_field(g.g_inv, (), loop)(0.0)
         if np.max(np.abs(T1 - gi @ T0 @ gm)) >= 1e-7:
             return "covariance defect too large"
     return None
@@ -718,13 +707,10 @@ def check_rk4_order(gen: RandomGen, cases: int) -> str | None:
 
 
 def run_battery(seed: int = 42, bounds: Bounds = Bounds(),
-                scale: float = 1.0,
-                names: list[str] | None = None) -> list[CheckResult]:
+                scale: float = 1.0) -> list[CheckResult]:
     """Run the registered checks with a fresh seeded generator each."""
     results = []
     for name, statement, default_cases in CHECKS:
-        if names is not None and name not in names:
-            continue
         fn = _REGISTRY[name]
         cases = max(1, int(default_cases * scale)) if default_cases else 0
         gen = RandomGen(seed, bounds)

@@ -42,10 +42,6 @@ class ConnectionPath:
             raise ValueError("endpoints do not match")
         return ConnectionPath(c0.base, c0.rank, (c0.A, c1.A - c0.A))
 
-    @staticmethod
-    def constant(c: Connection) -> "ConnectionPath":
-        return ConnectionPath(c.base, c.rank, (c.A,))
-
     def at0(self) -> Connection:
         A = (self.coefficients[0] if self.coefficients
              else MatrixForm.zero(self.base, self.rank, self.rank))
@@ -154,13 +150,11 @@ def _integrate_t_and_restrict(m: MatrixForm, base: BaseSpace) -> MatrixForm:
         if a in mono:
             continue
         newmono = tuple(i if i < a else i - 1 for i in mono)
-        add = None
+        terms: dict = {}
         for (alpha, k), ts in f.terms.items():
-            weight = Fraction(1, alpha[a] + 1)
-            g = ChartFunction.monomial(base, alpha[:a] + alpha[a + 1:], k,
-                                       ts.scale(weight))
-            add = g if add is None else add + g
-        accumulate(out, (r, c, newmono), add)
+            accumulate(terms, (alpha[:a] + alpha[a + 1:], k),
+                       ts.scale(Fraction(1, alpha[a] + 1)))
+        accumulate(out, (r, c, newmono), ChartFunction(base, terms))
     return MatrixForm(base, m.rows, m.cols, out)
 
 

@@ -23,8 +23,7 @@ from .connections import Connection
 from .dsl import (DslError, Evaluator, Scenario, evaluate_defs,
                   parse_scenario, render_form, render_tau_scalar)
 from .forms import MatrixForm, all_cycles
-from .randgen import Bounds
-from .struct_khat import StructuredBundle, cs_hat, realize_odd_form
+from .struct_khat import cs_hat, realize_odd_form
 
 
 def _load(path: str) -> Scenario:
@@ -140,7 +139,7 @@ def cmd_check(ns) -> int:
     try:
         scenario = _load(ns.file)
         evaluate_defs(scenario)
-    except (OSError, DslError) as exc:
+    except (OSError, DslError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {"entries": [],
@@ -156,7 +155,7 @@ def cmd_run(ns) -> int:
         ev = evaluate_defs(scenario)
         entries = [run_task(kind, args, ev, ns.tol)
                    for kind, args in scenario.tasks]
-    except (OSError, DslError) as exc:
+    except (OSError, DslError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = sum(1 for e in entries if e["verdict"] != "ok")
@@ -167,9 +166,7 @@ def cmd_run(ns) -> int:
 
 
 def cmd_suite(ns) -> int:
-    bounds = Bounds(max_coords=ns.bound_coords, max_rank=ns.bound_rank,
-                    max_poly_degree=ns.bound_degree)
-    results = run_battery(seed=ns.seed, bounds=bounds, scale=ns.scale)
+    results = run_battery(seed=ns.seed, scale=ns.scale)
     entry = _suite_entry(f"suite seed={ns.seed}", results)
     _emit({"entries": [entry], "summary": entry["output"]}, ns.format)
     return 0 if entry["verdict"] == "ok" else 1
@@ -195,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("suite", help="run the seeded invariant battery")
     ps.add_argument("--seed", type=int, default=42)
-    ps.add_argument("--bound-coords", type=int, default=4)
-    ps.add_argument("--bound-rank", type=int, default=3)
-    ps.add_argument("--bound-degree", type=int, default=2)
     ps.add_argument("--scale", type=float, default=1.0,
                     help="multiplier on per-check case counts")
     ps.set_defaults(fn=cmd_suite)

@@ -118,11 +118,6 @@ class GaugeTransform:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def identity(base: BaseSpace, size: int) -> "GaugeTransform":
-        ident = MatrixForm.identity(base, size)
-        return GaugeTransform(base, size, ident, ident)
-
-    @staticmethod
     def permutation(base: BaseSpace, perm: tuple[int, ...]) -> "GaugeTransform":
         n = len(perm)
         one = ChartFunction.one(base)

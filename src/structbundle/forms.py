@@ -286,87 +286,79 @@ class MatrixForm:
         out: dict[tuple[int, int, Mono], ChartFunction] = {}
         for (r, c, mono), f in self.entries.items():
             p = sum(1 for m in mono if m < a)
-            if p == 0:
-                continue
             for pos, coord in enumerate(mono):
                 if coord >= a:
                     continue
-                newmono = mono[:pos] + mono[pos + 1:]
                 sign = -1 if pos % 2 else 1
+                # alpha -> alpha + e_coord is injective: no two terms merge
+                terms = {}
                 for (alpha, k), ts in f.terms.items():
-                    weight = Fraction(sign, sum(alpha) + p)
                     nalpha = tuple(e + 1 if j == coord else e
                                    for j, e in enumerate(alpha))
-                    add = ChartFunction.monomial(self.base, nalpha, k,
-                                                 ts.scale(weight))
-                    accumulate(out, (r, c, newmono), add)
+                    terms[(nalpha, k)] = ts.scale(Fraction(sign, sum(alpha) + p))
+                accumulate(out, (r, c, mono[:pos] + mono[pos + 1:]),
+                           ChartFunction(self.base, terms))
+        return MatrixForm(self.base, self.rows, self.cols, out)
+
+    def _torus_part(self, harmonic: bool) -> "MatrixForm":
+        """The terms with no chart differential and no chart power; with
+        harmonic, only those of Fourier index 0 among them."""
+        a = self.base.chart_dim
+        out: dict[tuple[int, int, Mono], ChartFunction] = {}
+        for (r, c, mono), f in self.entries.items():
+            if any(m < a for m in mono):
+                continue
+            kept = {(alpha, k): ts for (alpha, k), ts in f.terms.items()
+                    if not any(alpha) and not (harmonic and any(k))}
+            if kept:
+                out[(r, c, mono)] = ChartFunction(self.base, kept)
         return MatrixForm(self.base, self.rows, self.cols, out)
 
     def retract(self) -> "MatrixForm":
         """Pullback to the torus {x = 0}: drops chart differentials and
         evaluates coefficients at x = 0."""
-        a = self.base.chart_dim
-        out: dict[tuple[int, int, Mono], ChartFunction] = {}
-        for (r, c, mono), f in self.entries.items():
-            if any(m < a for m in mono):
-                continue
-            kept = {key: ts for key, ts in f.terms.items()
-                    if all(e == 0 for e in key[0])}
-            if kept:
-                out[(r, c, mono)] = ChartFunction(self.base, kept)
-        return MatrixForm(self.base, self.rows, self.cols, out)
+        return self._torus_part(harmonic=False)
 
     def harmonic_part(self) -> "MatrixForm":
-        """Constant-coefficient torus component: retract, then keep only
-        Fourier index 0 terms.  The canonical cohomology representative."""
-        retr = self.retract()
-        out: dict[tuple[int, int, Mono], ChartFunction] = {}
-        for (r, c, mono), f in retr.entries.items():
-            kept = {key: ts for key, ts in f.terms.items()
-                    if all(x == 0 for x in key[1])}
-            if kept:
-                out[(r, c, mono)] = ChartFunction(self.base, kept)
-        return MatrixForm(self.base, self.rows, self.cols, out)
+        """Constant-coefficient torus component: the Fourier index 0 terms
+        of the retraction.  The canonical cohomology representative."""
+        return self._torus_part(harmonic=True)
 
     def torus_homotopy(self) -> "MatrixForm":
-        """Fourier-mode homotopy on torus-supported forms.
+        """Fourier-mode homotopy H, applied to the retraction of the form.
 
-        Requires no chart coordinates present (apply retract first).  On
-        a mode-k term with k != 0 it contracts with the first angle
+        On a mode-k term with k != 0 it contracts with the first angle
         direction where k is nonzero, scaled by 1/(i k_j); mode-0 terms
-        are dropped.  Satisfies eta = d H(eta) + H(d eta) + harmonic(eta)
-        for torus-supported eta.
+        are dropped, and so is everything the retraction drops.
+        Satisfies eta = d H(eta) + H(d eta) + harmonic(eta) for
+        torus-supported eta.
         """
         a = self.base.chart_dim
-        out: dict[tuple[int, int, Mono], ChartFunction] = {}
-        for (r, c, mono), f in self.entries.items():
-            if any(m < a for m in mono):
-                raise ValueError("torus_homotopy needs a retracted form")
+        # a term's mode fixes the removed differential, so each output
+        # term has exactly one source term: nothing merges
+        out: dict[tuple[int, int, Mono], dict] = {}
+        for (r, c, mono), f in self.retract().entries.items():
             for (alpha, k), ts in f.terms.items():
-                if any(e != 0 for e in alpha):
-                    raise ValueError("torus_homotopy needs a retracted form")
                 j = next((jj for jj, kk in enumerate(k) if kk != 0), None)
-                if j is None:
+                if j is None or a + j not in mono:
                     continue
-                coord = a + j
-                if coord not in mono:
-                    continue
-                pos = mono.index(coord)
-                newmono = mono[:pos] + mono[pos + 1:]
+                pos = mono.index(a + j)
                 # 1/(i k_j) = -i/k_j
                 factor = GaussRational.of(0, Fraction(-1, k[j]))
                 if pos % 2:
                     factor = -factor
-                add = ChartFunction.monomial(self.base, alpha, k, ts.scale(factor))
-                accumulate(out, (r, c, newmono), add)
-        return MatrixForm(self.base, self.rows, self.cols, out)
+                key = (r, c, mono[:pos] + mono[pos + 1:])
+                out.setdefault(key, {})[(alpha, k)] = ts.scale(factor)
+        return MatrixForm(self.base, self.rows, self.cols,
+                          {key: ChartFunction(self.base, terms)
+                           for key, terms in out.items()})
 
     def full_homotopy(self) -> "MatrixForm":
-        """K = chart homotopy + torus homotopy after retraction.
+        """K = chart homotopy + torus homotopy (of the retraction).
 
         omega = d K(omega) + K(d omega) + harmonic(retract(omega)), exactly.
         """
-        return self.chart_homotopy() + self.retract().torus_homotopy()
+        return self.chart_homotopy() + self.torus_homotopy()
 
     def normal_form(self) -> "MatrixForm":
         """Canonical representative modulo exact forms.

@@ -187,17 +187,32 @@ class ChartFunction:
 
     # -- numeric boundary ---------------------------------------------
 
-    def eval_numeric(self, xs, thetas) -> complex:
-        """Evaluate at a numeric point with tau = 2*pi*i."""
-        total = 0j
+    def numeric(self, xs):
+        """The function at fixed chart coordinates xs, with tau = 2*pi*i,
+        as a numeric function of the torus angles.
+
+        Each coefficient is converted to a float and multiplied by its
+        chart monomial once, here; the returned function only sums the
+        Fourier phases, term by term in term order.
+        """
+        table = []
         for (alpha, k), ts in self.terms.items():
             val = ts.to_complex()
             for x, e in zip(xs, alpha):
                 val *= x**e
-            phase = sum(kk * th for kk, th in zip(k, thetas))
-            val *= cmath.exp(1j * phase)
-            total += val
-        return total
+            table.append((val, k))
+
+        def at(thetas) -> complex:
+            total = 0j
+            for val, k in table:
+                total += val * cmath.exp(1j * sum(kk * th for kk, th in zip(k, thetas)))
+            return total
+
+        return at
+
+    def eval_numeric(self, xs, thetas) -> complex:
+        """Evaluate at a numeric point with tau = 2*pi*i; see numeric."""
+        return self.numeric(xs)(thetas)
 
     def __repr__(self) -> str:
         return f"ChartFunction({self.base!r}, {self.terms!r})"

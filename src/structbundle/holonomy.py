@@ -13,11 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import Connection
+from .forms import MatrixForm, Mono
 from .functions import BaseSpace
 
 DEFAULT_TOL = 1e-8
 DEFAULT_STEPS = 256
 MAX_STEPS = 2 ** 14
+# basepoints of the holonomy loops: every coordinate set to one of these
+_BASEPOINT_GRID = (0.0, 0.9, 2.1)
 
 
 @dataclass(frozen=True)
@@ -46,18 +49,27 @@ class Loop:
         return coords[:a], coords[a:]
 
 
-def _transport_matrix(conn: Connection, loop: Loop, u: float) -> np.ndarray:
-    """-A(gamma(u))[gamma'(u)] as a numeric matrix."""
-    a = conn.base.chart_dim
-    coord = a + loop.torus_coord
-    xs, thetas = loop.point(u)
-    n = conn.rank
-    M = np.zeros((n, n), dtype=complex)
-    for (r, c, mono), f in conn.A.entries.items():
-        if mono != (coord,):
-            continue
-        M[r, c] = f.eval_numeric(xs, thetas)
-    return -M
+def _numeric_field(form: MatrixForm, mono: Mono, loop: Loop):
+    """The coefficients of d(mono) in form along the loop, as a function
+    of the loop parameter u returning a numeric matrix.
+
+    The chart coordinates are fixed on a loop, so each entry is
+    converted to floats once, here, and only its Fourier phases are
+    evaluated per call.
+    """
+    xs, thetas = loop.point(0.0)
+    j = loop.torus_coord
+    table = [(r, c, f.numeric(xs))
+             for (r, c, m), f in form.entries.items() if m == mono]
+
+    def at(u: float) -> np.ndarray:
+        thetas[j] = u
+        M = np.zeros((form.rows, form.cols), dtype=complex)
+        for r, c, fn in table:
+            M[r, c] = fn(thetas)
+        return M
+
+    return at
 
 
 def parallel_transport(conn: Connection, loop: Loop,
@@ -65,16 +77,16 @@ def parallel_transport(conn: Connection, loop: Loop,
     """Solve S' = -A(gamma(u))[gamma'(u)] S, S(0) = I, by classical RK4."""
     if steps < 16:
         raise ValueError("need at least 16 steps")
-    n = conn.rank
-    S = np.eye(n, dtype=complex)
+    A = _numeric_field(conn.A, (conn.base.chart_dim + loop.torus_coord,), loop)
+    S = np.eye(conn.rank, dtype=complex)
     h = 2 * math.pi / steps
     for m in range(steps):
         u = m * h
-        k1 = _transport_matrix(conn, loop, u) @ S
-        mid = _transport_matrix(conn, loop, u + h / 2)
+        k1 = -A(u) @ S
+        mid = -A(u + h / 2)
         k2 = mid @ (S + h / 2 * k1)
         k3 = mid @ (S + h / 2 * k2)
-        k4 = _transport_matrix(conn, loop, u + h) @ (S + h * k3)
+        k4 = -A(u + h) @ (S + h * k3)
         S = S + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return S
 
@@ -92,18 +104,13 @@ def _transport_refined(conn: Connection, loop: Loop, tol: float) -> np.ndarray:
     return prev
 
 
-def _basepoints(base: BaseSpace):
-    """Fixed small grid of basepoints: all coordinates moved together."""
-    for v in (0.0, 0.9, 2.1):
-        yield tuple(v for _ in range(base.dim))
-
-
 def _loop_defects(conn: Connection, tol: float):
     """Max-norm distance from the identity of the transport around each
     coordinate torus loop, over the basepoint grid."""
     ident = np.eye(conn.rank)
     for j in range(conn.base.torus_dim):
-        for bp in _basepoints(conn.base):
+        for v in _BASEPOINT_GRID:
+            bp = (v,) * conn.base.dim
             S = _transport_refined(conn, Loop(conn.base, j, bp), tol)
             yield float(np.max(np.abs(S - ident)))
 

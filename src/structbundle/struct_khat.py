@@ -41,10 +41,6 @@ class StructuredBundle:
         return StructuredBundle(Connection.flat(base, n))
 
     @staticmethod
-    def line(w: MatrixForm) -> "StructuredBundle":
-        return StructuredBundle(Connection.line(w))
-
-    @staticmethod
     def from_idempotent(P: Idempotent) -> "StructuredBundle":
         from .connections import grassmann_sum
         return StructuredBundle(grassmann_sum(P), ("idempotent", P))
@@ -146,10 +142,8 @@ def realize_odd_form(rho: MatrixForm) -> StructuredBundle:
             raise AssertionError("realization did not reduce the top degree")
 
     n = len(lines)
-    A = MatrixForm.zero(base, n, n)
-    for i, w in enumerate(lines):
-        for (_r, _c, mono), f in w.entries.items():
-            A = A + MatrixForm(base, n, n, {(i, i, mono): f})
+    A = MatrixForm(base, n, n, {(i, i, mono): f for i, w in enumerate(lines)
+                                for (_r, _c, mono), f in w.entries.items()})
     return StructuredBundle(Connection(base, n, A))
 
 
@@ -163,10 +157,6 @@ class KHatElement:
     @staticmethod
     def of(v: StructuredBundle) -> "KHatElement":
         return KHatElement((v,), ())
-
-    @staticmethod
-    def zero() -> "KHatElement":
-        return KHatElement((), ())
 
     @property
     def base(self) -> BaseSpace | None:

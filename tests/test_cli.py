@@ -119,3 +119,17 @@ def test_suite_scale_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("verb, text", [
+    ("run", "space R 1 T 1;\ntask realize dth1;\n"),
+    ("check", "space R 0 T 1;\ngauge g = fourier(1);\n"
+              "conn c = apply(g, flat(2));\n"),
+], ids=["realize-on-torus", "gauge-rank-mismatch"])
+def test_library_value_error_exits_2(tmp_path, verb, text):
+    path = tmp_path / "bad.sb"
+    path.write_text(text)
+    code, _out, err = run_cli(verb, str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -105,3 +105,21 @@ def test_trace_and_transpose():
                              (1, 1, ()): ChartFunction.coord(b, 0)})
     assert m.trace() == MatrixForm.scalar(b, ChartFunction.coord(b, 0), ())
     assert m.transpose().transpose() == m
+
+
+def test_mod_exact_calculus_retracts_once():
+    # the torus homotopy and the harmonic part act on the retraction
+    # themselves, whatever chart content the form carries
+    gen = RandomGen(61)
+    with_chart = 0
+    for _ in range(50):
+        b = BaseSpace(gen.rng.randint(1, 2), gen.rng.randint(1, 2))
+        w = gen.scalar_form(b, nterms=3)
+        r = w.retract()
+        with_chart += r != w
+        assert w.torus_homotopy() == r.torus_homotopy()
+        modes_zero = {key: ChartFunction(b, {tk: ts for tk, ts in f.terms.items()
+                                             if not any(tk[1])})
+                      for key, f in r.entries.items()}
+        assert w.harmonic_part() == MatrixForm(b, 1, 1, modes_zero)
+    assert with_chart > 25
