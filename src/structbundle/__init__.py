@@ -14,8 +14,7 @@ from .connections import (Connection, GaugeTransform, Idempotent,
                           hermitian_check, tensor)
 from .chern_simons import (ConnectionPath, cs_class, cs_path, cs_via_cylinder,
                            equivalent)
-from .gauge_theta import (LambdaVerdict, ThetaPullback, b_coefficient,
-                          lambda_gl_test, theta_pullback)
+from .gauge_theta import b_coefficient, lambda_gl_test, theta_pullback
 from .struct_khat import (BundleDescriptor, KHatElement, StructuredBundle,
                           ch_khat, cs_hat, delta, i_map, khat_add, khat_sub,
                           khat_tensor, realize_even_form, realize_odd_form,
@@ -36,8 +35,7 @@ __all__ = [
     "Connection", "GaugeTransform", "Idempotent", "direct_sum",
     "gauge_apply", "grassmann_sum", "hermitian_check", "tensor",
     "ConnectionPath", "cs_class", "cs_path", "cs_via_cylinder", "equivalent",
-    "LambdaVerdict", "ThetaPullback", "b_coefficient", "lambda_gl_test",
-    "theta_pullback",
+    "b_coefficient", "lambda_gl_test", "theta_pullback",
     "BundleDescriptor", "KHatElement", "StructuredBundle", "ch_khat",
     "cs_hat", "delta", "i_map", "khat_add", "khat_sub", "khat_tensor",
     "realize_even_form", "realize_odd_form", "struct_sum", "struct_tensor",

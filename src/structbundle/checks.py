@@ -452,7 +452,7 @@ def check_theta_closed(gen: RandomGen, cases: int) -> str | None:
     for _ in range(cases):
         base = gen.base_space(min_dim=1)
         g = gen.composite_gauge(base, gen.rng.randint(1, 3))
-        form = theta_pullback(g).form
+        form = theta_pullback(g)
         for deg in form.degrees():
             if form.degree_component(deg).d():
                 return f"degree {deg}"
@@ -483,7 +483,7 @@ def check_gauge_winding(gen: RandomGen, cases: int) -> str | None:
     for base, g in combos:
         flat = Connection.flat(base, g.size)
         cs = cs_path(ConnectionPath.straight(flat, gauge_apply(g, flat)))
-        if not (cs - theta_pullback(g).form).is_exact():
+        if not (cs - theta_pullback(g)).is_exact():
             return f"gauge of size {g.size} on {base}"
     return None
 
@@ -495,8 +495,8 @@ def check_theta_inversion(gen: RandomGen, cases: int) -> str | None:
     for _ in range(cases):
         base = gen.base_space(min_dim=1)
         g = gen.composite_gauge(base, gen.rng.randint(1, 3))
-        lhs = theta_pullback(g.inverse()).form
-        rhs = -theta_pullback(g).form
+        lhs = theta_pullback(g.inverse())
+        rhs = -theta_pullback(g)
         if not (lhs - rhs).is_exact():
             return f"size {g.size}"
     return None
@@ -510,7 +510,7 @@ def check_integrality(gen: RandomGen, cases: int) -> str | None:
         if base.torus_dim == 0:
             continue
         g = gen.composite_gauge(base, gen.rng.randint(1, 3))
-        form = theta_pullback(g).form
+        form = theta_pullback(g)
         for cyc in all_cycles(base, parity=1):
             if not form.period(cyc).is_integer():
                 return f"cycle {cyc.torus_subset}"

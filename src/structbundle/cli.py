@@ -7,7 +7,8 @@ Verbs:
     suite             run the full invariant battery
 
 Exit codes: 0 all pass, 1 a check or task failed, 2 usage or parse
-error.  Reports are byte-stable for a fixed input and seed.
+error; with --format json an error is also a JSON object on stdout.
+Reports are byte-stable for a fixed input and seed.
 """
 
 from __future__ import annotations
@@ -135,13 +136,25 @@ def _emit(report: dict, fmt: str):
     print(report["summary"])
 
 
+def _fail(exc: Exception, fmt: str) -> int:
+    """Report an error that ends a check or run with exit 2: on stderr,
+    and with --format json also as an error object on stdout."""
+    print(f"error: {exc}", file=sys.stderr)
+    if fmt == "json":
+        if isinstance(exc, DslError):
+            error = {"message": exc.message, "line": exc.line, "column": exc.col}
+        else:
+            error = {"message": str(exc), "line": None, "column": None}
+        _emit({"error": error}, fmt)
+    return 2
+
+
 def cmd_check(ns) -> int:
     try:
         scenario = _load(ns.file)
         evaluate_defs(scenario)
     except (OSError, DslError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, ns.format)
     report = {"entries": [],
               "summary": (f"ok: {len(scenario.defs)} definitions, "
                           f"{len(scenario.tasks)} tasks")}
@@ -156,8 +169,7 @@ def cmd_run(ns) -> int:
         entries = [run_task(kind, args, ev, ns.tol)
                    for kind, args in scenario.tasks]
     except (OSError, DslError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, ns.format)
     failures = sum(1 for e in entries if e["verdict"] != "ok")
     report = {"entries": entries,
               "summary": f"{len(entries) - failures}/{len(entries)} tasks passed"}

@@ -394,6 +394,10 @@ def parse_scenario(text: str) -> Scenario:
 # ---------------------------------------------------------------------
 # evaluation
 
+# the largest |n| that '^' accepts as an integer exponent; checked before
+# any multiplication, so an input cannot ask for unbounded work
+MAX_EXPONENT = 64
+
 # value kinds in promotion order: TauScalar < ChartFunction < MatrixForm;
 # Connection, GaugeTransform, Idempotent do not mix in arithmetic
 
@@ -511,6 +515,8 @@ class Evaluator:
                 raise _err("'^' needs forms or an integer exponent")
             return lw.wedge(rw)
         n = _as_int(right, "the exponent")
+        if abs(n) > MAX_EXPONENT:
+            raise _err(f"exponent {n} exceeds the limit {MAX_EXPONENT}")
         if isinstance(v, TauScalar):
             if v == TauScalar.tau_power(1):
                 return TauScalar.tau_power(n)

@@ -44,13 +44,7 @@ def b_coefficient_closed_form(j: int) -> TauScalar:
     return TauScalar.tau_power(-j).scale(val)
 
 
-@dataclass(frozen=True)
-class ThetaPullback:
-    gauge: GaugeTransform
-    form: MatrixForm
-
-
-def theta_pullback(g: GaugeTransform) -> ThetaPullback:
+def theta_pullback(g: GaugeTransform) -> MatrixForm:
     """g*Theta truncated at the base dimension."""
     base = g.base
     M = g.g_inv.wedge(g.g.d())
@@ -62,7 +56,7 @@ def theta_pullback(g: GaugeTransform) -> ThetaPullback:
         if power.is_zero():
             break
         total = total + power.trace().scale(b_coefficient(j))
-    return ThetaPullback(g, total)
+    return total
 
 
 @dataclass
@@ -77,9 +71,6 @@ class LambdaVerdict:
     status: str
     combination: tuple[int, ...] | None = None
     witness: tuple[Cycle | None, TauScalar | None] | None = None
-
-    def __bool__(self) -> bool:
-        return self.status == "member"
 
 
 def lambda_gl_test(omega: MatrixForm, certificates: list[GaugeTransform],
@@ -97,7 +88,7 @@ def lambda_gl_test(omega: MatrixForm, certificates: list[GaugeTransform],
         raise ValueError("membership test needs a scalar form")
     if omega.d():
         return LambdaVerdict("nonmember", witness=(None, None))
-    pulls = [theta_pullback(g).form for g in certificates]
+    pulls = [theta_pullback(g) for g in certificates]
     for combo in product(range(-depth, depth + 1), repeat=len(pulls)):
         cand = omega
         for c, p in zip(combo, pulls):

@@ -1,10 +1,13 @@
 """Structured bundles, their semiring, and the K-hat group of formal
 differences.
 
-A structured bundle is a connection taken up to the transgression-form
-equivalence relation.  The centerpiece is realize_odd_form: every odd
-form on a chart-only base is the flat-reference transgression class of
-a finite direct sum of line bundles, constructed degree by degree.
+A structured bundle is a connection on a trivial bundle, taken up to the
+transgression-form equivalence relation.  Every finitely generated
+projective module over Q(i)[tau^+-1][x][z^+-1] is free (Quillen-Suslin,
+Swan), so nothing is lost: K^0 is Z, delta is the signed rank, and
+cs_hat always has a flat reference of the same rank.  The centerpiece is
+realize_odd_form: every odd form on a chart-only base is the
+flat-reference transgression class of a sum of line bundles.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern_simons import cs_class
-from .connections import Connection, Idempotent, direct_sum, tensor
+from .connections import (Connection, Idempotent, direct_sum,
+                          grassmann_sum, tensor)
 from .forms import MatrixForm, OddClass
 from .functions import BaseSpace, ChartFunction
 from .scalars import TauScalar
@@ -22,11 +26,10 @@ from .scalars import TauScalar
 
 @dataclass(frozen=True)
 class StructuredBundle:
-    """A connection representing its equivalence class, with a
-    provenance descriptor for the underlying bundle."""
+    """A framed connection, representing its equivalence class."""
 
     connection: Connection
-    descriptor: tuple = ("trivial-frame",)
+    descriptor = ("trivial-frame",)
 
     @property
     def base(self) -> BaseSpace:
@@ -42,39 +45,30 @@ class StructuredBundle:
 
     @staticmethod
     def from_idempotent(P: Idempotent) -> "StructuredBundle":
-        from .connections import grassmann_sum
-        return StructuredBundle(grassmann_sum(P), ("idempotent", P))
-
-    def is_frame_flat(self) -> bool:
-        return self.connection.A.is_zero()
+        return StructuredBundle(grassmann_sum(P))
 
 
 def struct_sum(v: StructuredBundle, w: StructuredBundle) -> StructuredBundle:
     if v.base != w.base:
         raise ValueError("mismatched base spaces")
-    desc = ("trivial-frame",) if (v.descriptor[0] == w.descriptor[0]
-                                  == "trivial-frame") else ("sum", v.descriptor, w.descriptor)
-    return StructuredBundle(direct_sum(v.connection, w.connection), desc)
+    return StructuredBundle(direct_sum(v.connection, w.connection))
 
 
 def struct_tensor(v: StructuredBundle, w: StructuredBundle) -> StructuredBundle:
     if v.base != w.base:
         raise ValueError("mismatched base spaces")
-    desc = ("trivial-frame",) if (v.descriptor[0] == w.descriptor[0]
-                                  == "trivial-frame") else ("tensor", v.descriptor, w.descriptor)
-    return StructuredBundle(tensor(v.connection, w.connection), desc)
+    return StructuredBundle(tensor(v.connection, w.connection))
 
 
 def cs_hat(v: StructuredBundle) -> OddClass:
     """Transgression class against the flat reference of the same rank.
 
-    Only defined for bundles framed trivial; the consumer interprets the
-    result modulo Lambda_GL via lambda_gl_test.
+    Every bundle here is framed, so the flat connection of its rank is
+    a connection on the same bundle and the class is always defined.
+    The consumer interprets the result modulo Lambda_GL via
+    lambda_gl_test.
     """
-    if v.descriptor[0] != "trivial-frame":
-        raise ValueError("cs_hat needs a trivially framed bundle")
-    flat = Connection.flat(v.base, v.rank)
-    return cs_class(flat, v.connection)
+    return cs_class(Connection.flat(v.base, v.rank), v.connection)
 
 
 def _line_cs(w: MatrixForm) -> MatrixForm:
@@ -164,25 +158,15 @@ class KHatElement:
             return v.base
         return None
 
-    def normalize(self) -> "KHatElement":
-        """Merge frame-flat entries on the minus side into a single [n]."""
-        flats = [v for v in self.minus if v.is_frame_flat()]
-        others = tuple(v for v in self.minus if not v.is_frame_flat())
-        if len(flats) <= 1:
-            return self
-        n = sum(v.rank for v in flats)
-        merged = StructuredBundle.trivial_flat(flats[0].base, n)
-        return KHatElement(self.plus, others + (merged,))
-
 
 def khat_add(mu: KHatElement, nu: KHatElement) -> KHatElement:
     _check_bases(mu, nu)
-    return KHatElement(mu.plus + nu.plus, mu.minus + nu.minus).normalize()
+    return KHatElement(mu.plus + nu.plus, mu.minus + nu.minus)
 
 
 def khat_sub(mu: KHatElement, nu: KHatElement) -> KHatElement:
     _check_bases(mu, nu)
-    return KHatElement(mu.plus + nu.minus, mu.minus + nu.plus).normalize()
+    return KHatElement(mu.plus + nu.minus, mu.minus + nu.plus)
 
 
 def khat_tensor(mu: KHatElement, nu: KHatElement) -> KHatElement:
@@ -192,7 +176,7 @@ def khat_tensor(mu: KHatElement, nu: KHatElement) -> KHatElement:
     plus += tuple(struct_tensor(a, b) for a in mu.minus for b in nu.minus)
     minus = tuple(struct_tensor(a, b) for a in mu.minus for b in nu.plus)
     minus += tuple(struct_tensor(a, b) for a in mu.plus for b in nu.minus)
-    return KHatElement(plus, minus).normalize()
+    return KHatElement(plus, minus)
 
 
 def _check_bases(mu: KHatElement, nu: KHatElement):
@@ -203,39 +187,19 @@ def _check_bases(mu: KHatElement, nu: KHatElement):
 
 @dataclass(frozen=True)
 class BundleDescriptor:
-    """Formal difference of underlying-bundle descriptors (no connection
-    data).  Equality of summands is syntactic plus rank; trivial-frame
-    ranks cancel numerically."""
+    """The underlying bundle of a formal difference, connections
+    forgotten: every bundle is trivial, so only its signed rank is left."""
 
     trivial_rank: int
-    plus_tags: tuple = ()
-    minus_tags: tuple = ()
 
     def is_zero(self) -> bool:
-        return self.trivial_rank == 0 and not self.plus_tags and not self.minus_tags
+        return self.trivial_rank == 0
 
 
 def delta(mu: KHatElement) -> BundleDescriptor:
-    """Forget the connections: the underlying formal bundle difference."""
-    rank = 0
-    plus_tags: list = []
-    minus_tags: list = []
-    for v in mu.plus:
-        if v.descriptor[0] in ("trivial-frame",):
-            rank += v.rank
-        else:
-            plus_tags.append((v.descriptor, v.rank))
-    for v in mu.minus:
-        if v.descriptor[0] in ("trivial-frame",):
-            rank -= v.rank
-        else:
-            minus_tags.append((v.descriptor, v.rank))
-    # cancel syntactically equal tags
-    for tag in list(plus_tags):
-        if tag in minus_tags:
-            plus_tags.remove(tag)
-            minus_tags.remove(tag)
-    return BundleDescriptor(rank, tuple(plus_tags), tuple(minus_tags))
+    """Forget the connections: the signed rank of the formal difference."""
+    return BundleDescriptor(sum(v.rank for v in mu.plus)
+                            - sum(v.rank for v in mu.minus))
 
 
 def ch_khat(mu: KHatElement) -> MatrixForm:
@@ -252,9 +216,10 @@ def ch_khat(mu: KHatElement) -> MatrixForm:
 
 
 def i_map(theta: MatrixForm) -> KHatElement:
-    """Realize an odd form and subtract its rank as a frame-flat bundle.
+    """Realize an odd form and subtract the flat bundle of its rank.
 
-    Satisfies ch(i(theta)) = d theta and delta(i(theta)) = 0.
+    Satisfies ch(i(theta)) = d theta, and delta(i(theta)) = 0 because
+    delta is the signed rank.
     """
     v = realize_odd_form(theta)
     flat = StructuredBundle.trivial_flat(theta.base, v.rank)

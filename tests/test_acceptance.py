@@ -139,7 +139,7 @@ def test_04_gauge_winding_all_families():
     for base, g in _gauge_families():
         flat = Connection.flat(base, g.size)
         cs = cs_path(ConnectionPath.straight(flat, gauge_apply(g, flat)))
-        assert (cs - theta_pullback(g).form).is_exact()
+        assert (cs - theta_pullback(g)).is_exact()
 
 
 def test_05_winding_integrality_and_rejection():

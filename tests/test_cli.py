@@ -13,8 +13,9 @@ CORPUS = sorted((pathlib.Path(__file__).parent.parent / "scenarios").glob("*.sb"
 
 
 def run_cli(*args):
+    # a hang fails the test instead of stalling the suite
     proc = subprocess.run([sys.executable, "-m", "structbundle.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -49,8 +50,15 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
-def test_missing_file_exits_2():
+def test_missing_file_exits_2(capsys):
     assert cli.main(["run", "/nonexistent/file.sb"]) == 2
+    capsys.readouterr()
+    assert cli.main(["--format", "json", "run", "/nonexistent/file.sb"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    error = json.loads(captured.out)["error"]
+    assert error["line"] is None and error["column"] is None
+    assert "/nonexistent/file.sb" in error["message"]
 
 
 def test_usage_error_exits_2():
@@ -121,15 +129,24 @@ def test_suite_scale_smoke(capsys):
     assert "checks passed" in out
 
 
-@pytest.mark.parametrize("verb, text", [
-    ("run", "space R 1 T 1;\ntask realize dth1;\n"),
+@pytest.mark.parametrize("verb, text, positioned", [
+    ("run", "space R 1 T 1;\ntask realize dth1;\n", False),
     ("check", "space R 0 T 1;\ngauge g = fourier(1);\n"
-              "conn c = apply(g, flat(2));\n"),
-], ids=["realize-on-torus", "gauge-rank-mismatch"])
-def test_library_value_error_exits_2(tmp_path, verb, text):
+              "conn c = apply(g, flat(2));\n", False),
+    ("check", "space R 1;\nfn f = x1^200000000;\n", True),
+], ids=["realize-on-torus", "gauge-rank-mismatch", "exponent-budget"])
+def test_library_value_error_exits_2(tmp_path, verb, text, positioned):
     path = tmp_path / "bad.sb"
     path.write_text(text)
     code, _out, err = run_cli(verb, str(path))
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    # the json format also reports the error as an object on stdout
+    code, out, json_err = run_cli("--format", "json", verb, str(path))
+    assert code == 2
+    assert json_err == err
+    error = json.loads(out)["error"]
+    assert error["message"] in err
+    for key in ("line", "column"):
+        assert isinstance(error[key], int) if positioned else error[key] is None

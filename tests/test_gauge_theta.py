@@ -29,7 +29,7 @@ def test_b_routes_agree():
 def test_fourier_pullback_has_winding_period():
     b = BaseSpace(0, 1)
     g = GaugeTransform.fourier(b, (2, 1))
-    form = theta_pullback(g).form
+    form = theta_pullback(g)
     assert form.period(Cycle(b, (0,))) == TauScalar.rational(3)
 
 
@@ -40,13 +40,13 @@ def test_pullback_matches_cs_of_gauge_orbit():
         g = gen.gauge(base, gen.rng.randint(1, 3))
         flat = Connection.flat(base, g.size)
         cs = cs_path(ConnectionPath.straight(flat, gauge_apply(g, flat)))
-        assert (cs - theta_pullback(g).form).is_exact()
+        assert (cs - theta_pullback(g)).is_exact()
 
 
 def test_membership_with_certificate():
     b = BaseSpace(0, 1)
     g = GaugeTransform.fourier(b, (1,))
-    omega = theta_pullback(g).form.scale_rational(2)
+    omega = theta_pullback(g).scale_rational(2)
     verdict = lambda_gl_test(omega, [g])
     assert verdict.status == "member"
     assert verdict.combination == (2,)
@@ -73,6 +73,6 @@ def test_nonmember_when_not_closed():
 def test_unknown_when_out_of_reach():
     b = BaseSpace(0, 1)
     g = GaugeTransform.fourier(b, (1,))
-    omega = theta_pullback(g).form.scale_rational(5)
+    omega = theta_pullback(g).scale_rational(5)
     verdict = lambda_gl_test(omega, [g], depth=2)
     assert verdict.status == "unknown"

@@ -1,12 +1,13 @@
 import pytest
 
-from structbundle.forms import MatrixForm
+from structbundle.forms import MatrixForm, OddClass
 from structbundle.functions import BaseSpace, ChartFunction
 from structbundle.randgen import RandomGen
 from structbundle.struct_khat import (KHatElement, StructuredBundle, ch_khat,
                                       cs_hat, delta, i_map, khat_add,
                                       khat_sub, khat_tensor, realize_even_form,
-                                      realize_odd_form, struct_sum)
+                                      realize_odd_form, struct_sum,
+                                      struct_tensor)
 
 
 def test_cs_hat_of_flat_is_zero():
@@ -102,3 +103,28 @@ def test_struct_sum_keeps_frame():
     w = StructuredBundle.trivial_flat(b, 2)
     s = struct_sum(v, w)
     assert s.rank == 3 and s.descriptor == ("trivial-frame",)
+
+
+def test_every_bundle_is_framed():
+    """Bundles from idempotents, and sums and tensors that contain one,
+    have a cs_hat like every other bundle; cs_hat is additive; and
+    (v) - (flat of v's rank) has no even period and zero delta, since
+    K^0 is Z here."""
+    curved_idempotent_bundles = 0
+    for seed in range(30):
+        gen = RandomGen(1000 + seed)
+        base = gen.base_space(min_dim=1)
+        if seed % 2 == 0:
+            v = StructuredBundle.from_idempotent(gen.idempotent(base))
+        else:
+            v = StructuredBundle(gen.connection(base, gen.rng.randint(1, 3)))
+        w = StructuredBundle.from_idempotent(gen.idempotent(base))
+        curved_idempotent_bundles += not w.connection.A.is_zero()
+        assert isinstance(cs_hat(v), OddClass)
+        assert cs_hat(struct_sum(v, w)) == cs_hat(v) + cs_hat(w)
+        assert isinstance(cs_hat(struct_tensor(v, w)), OddClass)
+        for u in (v, w):
+            mu = KHatElement((u,), (StructuredBundle.trivial_flat(base, u.rank),))
+            assert ch_khat(mu).harmonic_part().is_zero()
+            assert delta(mu).is_zero()
+    assert curved_idempotent_bundles >= 10
