@@ -21,7 +21,7 @@ from . import holonomy as holo
 from .chern_simons import cs_class
 from .checks import run_battery
 from .connections import Connection
-from .dsl import (DslError, Evaluator, Scenario, evaluate_defs,
+from .dsl import (DslError, Evaluator, Scenario, evaluate_defs, located,
                   parse_scenario, render_form, render_tau_scalar)
 from .forms import MatrixForm, all_cycles
 from .struct_khat import cs_hat, realize_odd_form
@@ -166,8 +166,10 @@ def cmd_run(ns) -> int:
     try:
         scenario = _load(ns.file)
         ev = evaluate_defs(scenario)
-        entries = [run_task(kind, args, ev, ns.tol)
-                   for kind, args in scenario.tasks]
+        entries = []
+        for (kind, args), at in zip(scenario.tasks, scenario.task_at):
+            with located(at):
+                entries.append(run_task(kind, args, ev, ns.tol))
     except (OSError, DslError, ValueError) as exc:
         return _fail(exc, ns.format)
     failures = sum(1 for e in entries if e["verdict"] != "ok")

@@ -16,12 +16,16 @@ from .functions import BaseSpace, ChartFunction
 from .scalars import TauScalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Connection:
     base: BaseSpace
     rank: int
     A: MatrixForm
     hermitian: bool = False
+
+    # holds a MatrixForm, which is unhashable; eq=False, because with the
+    # hand-written __eq__ below the dataclass would otherwise add a hash
+    __hash__ = None
 
     def __post_init__(self):
         if self.A.base != self.base:
@@ -107,6 +111,8 @@ class GaugeTransform:
     size: int
     g: MatrixForm
     g_inv: MatrixForm
+
+    __hash__ = None  # holds a MatrixForm, which is unhashable
 
     def __post_init__(self):
         ident = MatrixForm.identity(self.base, self.size)
@@ -206,6 +212,8 @@ class Idempotent:
     base: BaseSpace
     size: int
     P: MatrixForm
+
+    __hash__ = None  # holds a MatrixForm, which is unhashable
 
     def __post_init__(self):
         if self.P.rows != self.size or self.P.cols != self.size:

@@ -20,8 +20,9 @@ are distinct exception types.
 
 from __future__ import annotations
 
+import contextlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .connections import (Connection, GaugeTransform, Idempotent,
@@ -203,6 +204,10 @@ class Scenario:
     torus_dim: int
     defs: tuple  # of (kind, name, expr)
     tasks: tuple  # of (kind, (expr, ...))
+    # (line, column) of the first token of each definition and task; not
+    # part of the value, so a rendered scenario parses back equal
+    def_at: tuple = field(compare=False, repr=False)
+    task_at: tuple = field(compare=False, repr=False)
 
     @property
     def base(self) -> BaseSpace:
@@ -262,6 +267,8 @@ class _Parser:
         chart = torus = None
         defs: list = []
         tasks: list = []
+        def_at: list = []
+        task_at: list = []
         names: set[str] = set()
         while self.peek().kind != "eof":
             t = self.peek()
@@ -295,6 +302,7 @@ class _Parser:
                 self.expect(";")
                 names.add(name)
                 defs.append((kind, name, expr))
+                def_at.append((t.line, t.col))
             elif t.text == "task":
                 self.next()
                 kt = self.peek()
@@ -306,12 +314,14 @@ class _Parser:
                     args.append(self.expr(names))
                 self.expect(";")
                 tasks.append((kind, tuple(args)))
+                task_at.append((t.line, t.col))
             else:
                 self.fail("'space', a definition, or 'task'")
         if chart is None:
             t = self.peek()
             raise ParseError("missing space declaration", t.line, t.col)
-        return Scenario(chart, torus, tuple(defs), tuple(tasks))
+        return Scenario(chart, torus, tuple(defs), tuple(tasks),
+                        tuple(def_at), tuple(task_at))
 
     def expr(self, names: set[str]):
         node = self.term(names)
@@ -403,7 +413,19 @@ MAX_EXPONENT = 64
 
 
 def _err(msg: str) -> SemanticError:
+    """A SemanticError without a position; ``located`` supplies it."""
     return SemanticError(msg, 0, 0)
+
+
+@contextlib.contextmanager
+def located(at: tuple[int, int]):
+    """Re-raise a position-less DslError at at, a statement's (line, column)."""
+    try:
+        yield
+    except DslError as exc:
+        if exc.line:
+            raise
+        raise type(exc)(exc.message, *at) from None
 
 
 def _promote(v, base: BaseSpace, want: int):
@@ -653,13 +675,14 @@ def evaluate_defs(scenario: Scenario) -> Evaluator:
                 "conn": Connection, "gauge": GaugeTransform,
                 "idem": Idempotent}
     widen = {"form": 2, "fn": 1}
-    for kind, name, expr in scenario.defs:
-        v = ev.eval(expr)
-        if kind in widen:
-            v = _promote(v, scenario.base, widen[kind])
-        if not isinstance(v, expected[kind]):
-            raise _err(f"definition {name!r} declared as {kind!r} but the "
-                       f"expression is a {type(v).__name__}")
+    for (kind, name, expr), at in zip(scenario.defs, scenario.def_at):
+        with located(at):
+            v = ev.eval(expr)
+            if kind in widen:
+                v = _promote(v, scenario.base, widen[kind])
+            if not isinstance(v, expected[kind]):
+                raise _err(f"definition {name!r} declared as {kind!r} but "
+                           f"the expression is a {type(v).__name__}")
         ev.env[name] = v
     return ev
 

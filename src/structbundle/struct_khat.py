@@ -31,6 +31,8 @@ class StructuredBundle:
     connection: Connection
     descriptor = ("trivial-frame",)
 
+    __hash__ = None  # holds a MatrixForm, which is unhashable
+
     @property
     def base(self) -> BaseSpace:
         return self.connection.base
@@ -147,6 +149,8 @@ class KHatElement:
 
     plus: tuple[StructuredBundle, ...]
     minus: tuple[StructuredBundle, ...]
+
+    __hash__ = None  # holds a MatrixForm, which is unhashable
 
     @staticmethod
     def of(v: StructuredBundle) -> "KHatElement":

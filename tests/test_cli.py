@@ -129,13 +129,16 @@ def test_suite_scale_smoke(capsys):
     assert "checks passed" in out
 
 
-@pytest.mark.parametrize("verb, text, positioned", [
-    ("run", "space R 1 T 1;\ntask realize dth1;\n", False),
+@pytest.mark.parametrize("verb, text, at", [
+    ("run", "space R 1 T 1;\ntask realize dth1;\n", None),
     ("check", "space R 0 T 1;\ngauge g = fourier(1);\n"
-              "conn c = apply(g, flat(2));\n", False),
-    ("check", "space R 1;\nfn f = x1^200000000;\n", True),
-], ids=["realize-on-torus", "gauge-rank-mismatch", "exponent-budget"])
-def test_library_value_error_exits_2(tmp_path, verb, text, positioned):
+              "conn c = apply(g, flat(2));\n", None),
+    ("check", "space R 1;\nfn f = x1^200000000;\n", (2, 1)),
+    ("check", "space R 2;\nform u = dx1;\nform w = line(dx1^dx2);\n", (3, 1)),
+    ("run", "space R 2;\nconn c = line(dx1);\n\n  task cs c;\n", (4, 3)),
+], ids=["realize-on-torus", "gauge-rank-mismatch", "exponent-budget",
+        "line-needs-degree-1", "task-arity"])
+def test_library_value_error_exits_2(tmp_path, verb, text, at):
     path = tmp_path / "bad.sb"
     path.write_text(text)
     code, _out, err = run_cli(verb, str(path))
@@ -148,5 +151,10 @@ def test_library_value_error_exits_2(tmp_path, verb, text, positioned):
     assert json_err == err
     error = json.loads(out)["error"]
     assert error["message"] in err
-    for key in ("line", "column"):
-        assert isinstance(error[key], int) if positioned else error[key] is None
+    # a DSL error reports its statement's first token; a library
+    # ValueError has no position
+    if at is None:
+        assert error["line"] is None and error["column"] is None
+    else:
+        assert (error["line"], error["column"]) == at
+        assert err.startswith("error: line %d, column %d: " % at)

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from structbundle.scalars import GaussRational, TauScalar
 from structbundle.randgen import RandomGen
@@ -76,3 +78,78 @@ def test_ring_axioms_random():
         assert (x + y) * z == x * z + y * z
         assert x * (y * z) == (x * y) * z
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+
+
+# -- the integer GaussRational against a reference pair of Fractions ----
+
+# derandomized, so tier-1 draws the same examples on every run
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20)))
+PAIRS = st.tuples(RATIONALS, RATIONALS)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_matches(g: GaussRational, pair: tuple[Fraction, Fraction]):
+    """g is in normal form and equals the pair (re, im)."""
+    a, b, d = g.a, g.b, g.d
+    assert type(a) is type(b) is type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+    if not (pair[0] or pair[1]):
+        assert (a, b, d) == (0, 0, 1) and not g
+    assert type(g.re) is type(g.im) is Fraction
+    assert (g.re, g.im) == pair
+    rebuilt = GaussRational(*pair)
+    assert g == rebuilt and hash(g) == hash(rebuilt)
+    assert _bits(g.to_complex()) == _bits(complex(pair[0]) + 1j * complex(pair[1]))
+
+
+def _check_ops(p, r, q: Fraction):
+    x, y = GaussRational(*p), GaussRational(*r)
+    (p0, p1), (r0, r1) = p, r
+    _assert_matches(x, p)
+    _assert_matches(x + y, (p0 + r0, p1 + r1))
+    _assert_matches(x - y, (p0 - r0, p1 - r1))
+    _assert_matches(x * y, (p0 * r0 - p1 * r1, p0 * r1 + p1 * r0))
+    _assert_matches(-x, (-p0, -p1))
+    _assert_matches(x.conjugate(), (p0, -p1))
+    for s in (q, q.numerator, 0):
+        _assert_matches(x.scale(s), (p0 * s, p1 * s))
+    assert (x == y) == (p == r)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@PROPERTY
+@given(PAIRS, PAIRS, RATIONALS)
+def test_gauss_rational_matches_fraction_pairs(p, r, q):
+    _check_ops(p, r, q)
+
+
+def test_gauss_rational_matches_fraction_pairs_seeded():
+    gen = RandomGen(17)
+    for _ in range(300):
+        p, r = (gen.rational(), gen.rational()), (gen.rational(), gen.rational())
+        _check_ops(p, r, gen.rational())
+        _check_ops(p, p, gen.rational())  # equal operands, x - x cancels
+
+
+# small coefficients and exponents, so sums and products cancel often
+TAU_SCALARS = st.dictionaries(
+    st.integers(-2, 2),
+    st.builds(GaussRational, st.integers(-2, 2), st.integers(-2, 2)),
+    max_size=4).map(TauScalar)
+
+
+@PROPERTY
+@given(TAU_SCALARS, TAU_SCALARS, st.integers(-3, 3))
+def test_tau_scalar_results_hold_no_zero_coefficient(x, y, k):
+    for t in (x + y, x * y, x - y, -x, x.mul_by_tau_power(k), x - x,
+              x + (-x), x.conjugate(), x.scale(Fraction(k, 2)), x.scale(k)):
+        assert all(t.terms.values())
+    assert (x - x).is_zero() and x.scale(0).is_zero()

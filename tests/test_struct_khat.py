@@ -1,5 +1,8 @@
+import collections.abc
+
 import pytest
 
+from structbundle.connections import Connection, GaugeTransform, Idempotent
 from structbundle.forms import MatrixForm, OddClass
 from structbundle.functions import BaseSpace, ChartFunction
 from structbundle.randgen import RandomGen
@@ -128,3 +131,22 @@ def test_every_bundle_is_framed():
             assert ch_khat(mu).harmonic_part().is_zero()
             assert delta(mu).is_zero()
     assert curved_idempotent_bundles >= 10
+
+
+@pytest.mark.parametrize("name", ["Connection", "GaugeTransform", "Idempotent",
+                                  "StructuredBundle", "KHatElement"])
+def test_values_holding_a_form_are_unhashable(name):
+    b = BaseSpace(0, 1)
+    make = {
+        "Connection": lambda: Connection.flat(b, 1),
+        "GaugeTransform": lambda: GaugeTransform.fourier(b, (1,)),
+        "Idempotent": lambda: Idempotent(b, 1, MatrixForm.identity(b, 1)),
+        "StructuredBundle": lambda: StructuredBundle.trivial_flat(b, 1),
+        "KHatElement": lambda: KHatElement.of(StructuredBundle.trivial_flat(b, 1)),
+    }
+    x = make[name]()
+    assert type(x).__name__ == name
+    assert not isinstance(x, collections.abc.Hashable)
+    # the error names the class itself, not the MatrixForm it holds
+    with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+        hash(x)
