@@ -34,7 +34,7 @@ class Connection:
             raise ValueError("connection form shape must be rank x rank")
         if not self.A.is_homogeneous(1):
             raise ValueError("connection form must be pure degree 1")
-        if self.hermitian and (self.A + self.A.conj_transpose()):
+        if self.hermitian and not hermitian_check(self):
             raise ValueError("hermitian flag set but A is not skew-Hermitian")
 
     # -- constructors -------------------------------------------------

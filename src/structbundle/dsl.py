@@ -408,6 +408,10 @@ def parse_scenario(text: str) -> Scenario:
 # any multiplication, so an input cannot ask for unbounded work
 MAX_EXPONENT = 64
 
+# the largest rank or matrix size a builtin builds, checked before it
+# builds anything, so an input cannot ask for an unbounded matrix
+MAX_RANK = 64
+
 # value kinds in promotion order: TauScalar < ChartFunction < MatrixForm;
 # Connection, GaugeTransform, Idempotent do not mix in arithmetic
 
@@ -417,15 +421,25 @@ def _err(msg: str) -> SemanticError:
     return SemanticError(msg, 0, 0)
 
 
+def _rank(n: int, what: str) -> int:
+    """n, once it is a rank or size the evaluator may build."""
+    if not 0 <= n <= MAX_RANK:
+        raise _err(f"{what} {n} is outside 0..{MAX_RANK}")
+    return n
+
+
 @contextlib.contextmanager
 def located(at: tuple[int, int]):
-    """Re-raise a position-less DslError at at, a statement's (line, column)."""
+    """Re-raise a position-less DslError, or a library ValueError as a
+    SemanticError, at at, a statement's (line, column)."""
     try:
         yield
     except DslError as exc:
         if exc.line:
             raise
         raise type(exc)(exc.message, *at) from None
+    except ValueError as exc:
+        raise SemanticError(str(exc), *at) from None
 
 
 def _promote(v, base: BaseSpace, want: int):
@@ -567,7 +581,8 @@ class Evaluator:
             return Connection.line(w)
         if fn == "flat":
             _arity(node, 1)
-            return Connection.flat(self.base, _as_int(args[0], "flat()"))
+            n = _rank(_as_int(args[0], "flat()"), "flat rank")
+            return Connection.flat(self.base, n)
         if fn == "apply":
             _arity(node, 2)
             g, c = args
@@ -577,14 +592,17 @@ class Evaluator:
         if fn == "dsum":
             _arity(node, 2)
             if all(isinstance(a, Connection) for a in args):
+                _rank(args[0].rank + args[1].rank, "dsum rank")
                 return direct_sum(*args)
             if all(isinstance(a, GaugeTransform) for a in args):
+                _rank(args[0].size + args[1].size, "dsum size")
                 return args[0].direct_sum(args[1])
             raise _err("dsum needs two connections or two gauges")
         if fn == "tensor":
             _arity(node, 2)
             if not all(isinstance(a, Connection) for a in args):
                 raise _err("tensor needs two connections")
+            _rank(args[0].rank * args[1].rank, "tensor rank")
             return tensor(*args)
         if fn == "grassmann":
             _arity(node, 1)
@@ -594,13 +612,14 @@ class Evaluator:
         if fn == "fourier":
             if not args:
                 raise _err("fourier needs at least one winding number")
+            _rank(len(args), "fourier size")
             ks = tuple(_as_int(a, "fourier()") for a in args)
             if self.base.torus_dim == 0:
                 raise _err("fourier needs a torus factor in the base")
             return GaugeTransform.fourier(self.base, ks)
         if fn == "unipotent":
             _arity(node, 2)
-            n = _as_int(args[0], "unipotent()")
+            n = _rank(_as_int(args[0], "unipotent()"), "unipotent size")
             if n < 2:
                 raise _err("unipotent needs size at least 2")
             f = _promote(args[1], self.base, 1)
@@ -621,7 +640,7 @@ class Evaluator:
         if fn == "diagproj":
             if len(args) < 1:
                 raise _err("diagproj(n, i...) needs a size")
-            n = _as_int(args[0], "diagproj()")
+            n = _rank(_as_int(args[0], "diagproj()"), "diagproj size")
             picks = [_as_int(a, "diagproj()") for a in args[1:]]
             ent = {}
             for i in picks:

@@ -344,7 +344,7 @@ class MatrixForm:
                     continue
                 pos = mono.index(a + j)
                 # 1/(i k_j) = -i/k_j
-                factor = GaussRational.of(0, Fraction(-1, k[j]))
+                factor = GaussRational(0, Fraction(-1, k[j]))
                 if pos % 2:
                     factor = -factor
                 key = (r, c, mono[:pos] + mono[pos + 1:])
@@ -397,14 +397,10 @@ class MatrixForm:
             if any(k[j] != 0 for j in swept):
                 continue  # nonzero frequency integrates to zero
             total = total + ts
-        # (2 pi)^m = (tau / i)^m = (-i tau)^m
+        # (2 pi)^m = (tau / i)^m = (-i)^m tau^m
         m = len(subset)
-        unit = TauScalar.tau_power(1, GaussRational.of(0, -1))
-        factor = TauScalar.one()
-        for _ in range(m):
-            factor = factor * unit
-        out = total * factor
-        return out.scale(sign)
+        unit = GaussRational(*((1, 0), (0, -1), (-1, 0), (0, 1))[m % 4])
+        return (total * TauScalar.tau_power(m, unit)).scale(sign)
 
     def __repr__(self) -> str:
         return f"MatrixForm({self.rows}x{self.cols}, {len(self.entries)} entries)"

@@ -150,7 +150,7 @@ class ChartFunction:
                 if k[j] == 0:
                     continue
                 # d/dtheta e^{i k theta} = i k e^{i k theta}
-                factor = GaussRational.of(0, k[j])
+                factor = GaussRational(0, k[j])
                 accumulate(out, (alpha, k), ts.scale(factor))
         else:
             raise ValueError(f"coordinate {coord} out of range")
@@ -218,17 +218,17 @@ class ChartFunction:
         return f"ChartFunction({self.base!r}, {self.terms!r})"
 
 
-def cos_theta(base: BaseSpace, j: int = 0, freq: int = 1) -> ChartFunction:
-    """cos(freq*theta_j) as (e^{i f th} + e^{-i f th})/2."""
-    kp = tuple(freq if m == j else 0 for m in range(base.torus_dim))
+def cos_theta(base: BaseSpace, j: int = 0) -> ChartFunction:
+    """cos(theta_j) as (e^{i th} + e^{-i th})/2."""
+    kp = tuple(int(m == j) for m in range(base.torus_dim))
     km = tuple(-x for x in kp)
     half = TauScalar.rational(Fraction(1, 2))
     return (ChartFunction.fourier(base, kp) + ChartFunction.fourier(base, km)).scale(half)
 
 
-def sin_theta(base: BaseSpace, j: int = 0, freq: int = 1) -> ChartFunction:
-    """sin(freq*theta_j) as (e^{i f th} - e^{-i f th})/2i."""
-    kp = tuple(freq if m == j else 0 for m in range(base.torus_dim))
+def sin_theta(base: BaseSpace, j: int = 0) -> ChartFunction:
+    """sin(theta_j) as (e^{i th} - e^{-i th})/2i."""
+    kp = tuple(int(m == j) for m in range(base.torus_dim))
     km = tuple(-x for x in kp)
     c = TauScalar.rational(0, Fraction(-1, 2))  # 1/(2i) = -i/2
     return (ChartFunction.fourier(base, kp) - ChartFunction.fourier(base, km)).scale(c)

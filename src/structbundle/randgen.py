@@ -83,12 +83,11 @@ class RandomGen:
             out = out + MatrixForm.scalar(base, self.chart_function(base, 1), mono)
         return out
 
-    def matrix_one_form(self, base: BaseSpace, n: int,
-                        nterms: int = 2) -> MatrixForm:
+    def matrix_one_form(self, base: BaseSpace, n: int) -> MatrixForm:
         if base.dim == 0:
             return MatrixForm.zero(base, n, n)
         out = MatrixForm.zero(base, n, n)
-        for _ in range(self.rng.randint(1, nterms)):
+        for _ in range(self.rng.randint(1, 2)):
             r = self.rng.randrange(n)
             c = self.rng.randrange(n)
             mono = (self.rng.randrange(base.dim),)
@@ -133,12 +132,8 @@ class RandomGen:
         M = MatrixForm.from_function_matrix(base, size, size, ent)
         return GaugeTransform.unipotent(base, M)
 
-    def composite_gauge(self, base: BaseSpace, size: int,
-                        factors: int = 2) -> GaugeTransform:
-        g = self.gauge(base, size)
-        for _ in range(factors - 1):
-            g = g.compose(self.gauge(base, size))
-        return g
+    def composite_gauge(self, base: BaseSpace, size: int) -> GaugeTransform:
+        return self.gauge(base, size).compose(self.gauge(base, size))
 
     # -- idempotents --------------------------------------------------
 
@@ -171,13 +166,13 @@ class RandomGen:
 
     # -- odd realization targets --------------------------------------
 
-    def odd_target(self, base: BaseSpace, top_degree: int = 3,
-                   nterms: int = 2) -> MatrixForm:
+    def odd_target(self, base: BaseSpace) -> MatrixForm:
+        """A scalar odd form of degree at most 3 on a chart-only base."""
         if base.torus_dim != 0:
             raise ValueError("odd targets live on chart-only bases")
         out = MatrixForm.zero(base, 1, 1)
-        degrees = [d for d in range(1, min(top_degree, base.dim) + 1) if d % 2]
-        for _ in range(self.rng.randint(1, nterms)):
+        degrees = [d for d in (1, 3) if d <= base.dim]
+        for _ in range(self.rng.randint(1, 2)):
             deg = self.rng.choice(degrees)
             mono = self.monomial_index(base, deg)
             out = out + MatrixForm.scalar(base, self.chart_function(base, 1), mono)

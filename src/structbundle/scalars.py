@@ -49,10 +49,6 @@ class GaussRational:
         self.b = im.numerator * (d // im.denominator)
         self.d = d
 
-    @staticmethod
-    def of(re, im=0) -> "GaussRational":
-        return GaussRational(re, im)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.d)
@@ -122,8 +118,8 @@ def _normal(a: int, b: int, d: int) -> GaussRational:
 
 _new = object.__new__
 
-QI_ONE = GaussRational.of(1)
-QI_I = GaussRational.of(0, 1)
+QI_ONE = GaussRational(1)
+QI_I = GaussRational(0, 1)
 
 
 class TauScalar:
@@ -157,7 +153,7 @@ class TauScalar:
 
     @staticmethod
     def rational(re, im=0) -> "TauScalar":
-        return TauScalar({0: GaussRational.of(re, im)})
+        return TauScalar({0: GaussRational(re, im)})
 
     @staticmethod
     def imag_unit() -> "TauScalar":

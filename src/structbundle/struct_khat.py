@@ -29,7 +29,6 @@ class StructuredBundle:
     """A framed connection, representing its equivalence class."""
 
     connection: Connection
-    descriptor = ("trivial-frame",)
 
     __hash__ = None  # holds a MatrixForm, which is unhashable
 
@@ -189,21 +188,10 @@ def _check_bases(mu: KHatElement, nu: KHatElement):
         raise ValueError("mismatched base spaces")
 
 
-@dataclass(frozen=True)
-class BundleDescriptor:
-    """The underlying bundle of a formal difference, connections
-    forgotten: every bundle is trivial, so only its signed rank is left."""
-
-    trivial_rank: int
-
-    def is_zero(self) -> bool:
-        return self.trivial_rank == 0
-
-
-def delta(mu: KHatElement) -> BundleDescriptor:
-    """Forget the connections: the signed rank of the formal difference."""
-    return BundleDescriptor(sum(v.rank for v in mu.plus)
-                            - sum(v.rank for v in mu.minus))
+def delta(mu: KHatElement) -> int:
+    """Forget the connections: every bundle is trivial, so what is left
+    is the signed rank of the formal difference."""
+    return sum(v.rank for v in mu.plus) - sum(v.rank for v in mu.minus)
 
 
 def ch_khat(mu: KHatElement) -> MatrixForm:

@@ -186,7 +186,7 @@ def test_07_realization_roundtrip_50():
     gen = RandomGen(1007, BOUNDS)
     base = BaseSpace(4, 0)
     for _ in range(50):
-        rho = gen.odd_target(base, top_degree=3)
+        rho = gen.odd_target(base)
         t0 = time.time()
         v = realize_odd_form(rho)
         assert cs_hat(v).rep.normal_form() == rho.normal_form()
@@ -198,7 +198,7 @@ def test_08_ch_i_equals_d_50():
     gen = RandomGen(1008, BOUNDS)
     base = BaseSpace(4, 0)
     for _ in range(50):
-        theta = gen.odd_target(base, top_degree=3)
+        theta = gen.odd_target(base)
         assert ch_khat(i_map(theta)) == theta.d()
 
 

@@ -1,3 +1,4 @@
+import collections
 import json
 import pathlib
 import subprocess
@@ -6,8 +7,14 @@ import sys
 import pytest
 
 from structbundle import cli
-from structbundle.dsl import (LexError, ParseError, SemanticError,
-                              evaluate_defs, parse_scenario)
+from structbundle.chern_simons import ConnectionPath, cs_path
+from structbundle.connections import Connection, gauge_apply
+from structbundle.dsl import (Evaluator, LexError, Name, ParseError,
+                              SemanticError, evaluate_defs, parse_scenario,
+                              render_tau_scalar)
+from structbundle.forms import MatrixForm, OddClass, all_cycles
+from structbundle.functions import BaseSpace
+from structbundle.randgen import RandomGen
 
 CORPUS = sorted((pathlib.Path(__file__).parent.parent / "scenarios").glob("*.sb"))
 
@@ -130,14 +137,18 @@ def test_suite_scale_smoke(capsys):
 
 
 @pytest.mark.parametrize("verb, text, at", [
-    ("run", "space R 1 T 1;\ntask realize dth1;\n", None),
+    ("run", "space R 1 T 1;\ntask realize dth1;\n", (2, 1)),
     ("check", "space R 0 T 1;\ngauge g = fourier(1);\n"
-              "conn c = apply(g, flat(2));\n", None),
+              "conn c = apply(g, flat(2));\n", (3, 1)),
     ("check", "space R 1;\nfn f = x1^200000000;\n", (2, 1)),
     ("check", "space R 2;\nform u = dx1;\nform w = line(dx1^dx2);\n", (3, 1)),
     ("run", "space R 2;\nconn c = line(dx1);\n\n  task cs c;\n", (4, 3)),
+    ("check", "space R 0 T 1;\nconn c = flat(1000000000);\n", (2, 1)),
+    ("check", "space R 1;\n\nconn c = flat(-1);\n", (3, 1)),
+    ("check", "space R 1;\nconn c = tensor(flat(64), flat(64));\n", (2, 1)),
 ], ids=["realize-on-torus", "gauge-rank-mismatch", "exponent-budget",
-        "line-needs-degree-1", "task-arity"])
+        "line-needs-degree-1", "task-arity", "rank-budget", "negative-rank",
+        "tensor-rank-budget"])
 def test_library_value_error_exits_2(tmp_path, verb, text, at):
     path = tmp_path / "bad.sb"
     path.write_text(text)
@@ -151,10 +162,63 @@ def test_library_value_error_exits_2(tmp_path, verb, text, at):
     assert json_err == err
     error = json.loads(out)["error"]
     assert error["message"] in err
-    # a DSL error reports its statement's first token; a library
-    # ValueError has no position
-    if at is None:
-        assert error["line"] is None and error["column"] is None
-    else:
-        assert (error["line"], error["column"]) == at
-        assert err.startswith("error: line %d, column %d: " % at)
+    # a DSL error, or a library ValueError raised while a statement
+    # evaluates, reports that statement's first token
+    assert (error["line"], error["column"]) == at
+    assert err.startswith("error: line %d, column %d: " % at)
+
+
+def test_undecodable_file_exits_2_without_position(tmp_path):
+    path = tmp_path / "latin1.sb"
+    path.write_bytes("space R 1;\nfn f = x1; # \u00e9\n".encode("latin-1"))
+    for fmt in ("text", "json"):
+        code, out, err = run_cli("--format", fmt, "check", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+    error = json.loads(out)["error"]
+    assert error["line"] is None and error["column"] is None
+
+
+def _equiv_by_class(c0, c1):
+    """The equivalence verdict through the class: compare the Chern
+    characters, reduce the transgression form to its normal form, test
+    exactness, then look for the first nonzero odd period."""
+    if c0.chern_character() != c1.chern_character():
+        return "fail", "NOT EQUIVALENT: Chern characters differ"
+    rep = OddClass.of(cs_path(ConnectionPath.straight(c0, c1))).rep
+    if rep.is_exact():
+        return "ok", "EQUIVALENT"
+    witness = ""
+    for cycle in all_cycles(rep.base, parity=1):
+        per = rep.period(cycle)
+        if per:
+            angles = ",".join(f"th{j + 1}" for j in cycle.torus_subset)
+            witness = f" witness: period {render_tau_scalar(per)} over T({angles})"
+            break
+    return "fail", "NOT EQUIVALENT:" + witness
+
+
+def test_equiv_task_matches_the_class_route():
+    gen = RandomGen(19)
+    kinds = collections.Counter()
+    for case in range(240):
+        base = BaseSpace(gen.rng.randint(0, 1), gen.rng.randint(1, 3))
+        n = gen.rng.randint(1, 2)
+        c0 = gen.connection(base, n)
+        if case % 3 == 0:  # a gauge image: equivalent unless g winds
+            c1 = gauge_apply(gen.gauge(base, n), c0)
+        elif case % 3 == 1:  # plus constant central dtheta terms: a witness
+            shift = MatrixForm.zero(base)
+            for j in range(base.chart_dim, base.dim):
+                shift = shift + MatrixForm.const_scalar(base, gen.tau_scalar(1), (j,))
+            c1 = Connection(base, n, c0.A + MatrixForm.identity(base, n).kron(shift))
+        else:  # an unrelated connection: the Chern characters usually differ
+            c1 = gen.connection(base, n)
+        ev = Evaluator(base, {"c0": c0, "c1": c1})
+        entry = cli.run_task("equiv", (Name("c0"), Name("c1")), ev, 1e-6)
+        verdict, output = _equiv_by_class(c0, c1)
+        assert (entry["verdict"], entry["output"]) == (verdict, output), case
+        kinds["witness" if "witness" in output else output] += 1
+    assert kinds["EQUIVALENT"] >= 40
+    assert kinds["NOT EQUIVALENT: Chern characters differ"] >= 40
+    assert kinds["witness"] >= 40

@@ -76,15 +76,16 @@ def test_delta_forgets_connections():
     gen = RandomGen(71)
     v = StructuredBundle(gen.connection(b, 2))
     flat = StructuredBundle.trivial_flat(b, 2)
-    assert delta(KHatElement((v,), (flat,))).is_zero()
+    assert delta(KHatElement((v,), (flat,))) == 0
+    assert delta(KHatElement((flat,), (v, flat))) == -2
 
 
 def test_i_map_lands_in_delta_kernel():
     b = BaseSpace(3, 0)
     gen = RandomGen(73)
-    theta = gen.odd_target(b, top_degree=3)
+    theta = gen.odd_target(b)
     mu = i_map(theta)
-    assert delta(mu).is_zero()
+    assert delta(mu) == 0
     assert ch_khat(mu) == theta.d()
 
 
@@ -105,7 +106,7 @@ def test_struct_sum_keeps_frame():
     v = StructuredBundle.trivial_flat(b, 1)
     w = StructuredBundle.trivial_flat(b, 2)
     s = struct_sum(v, w)
-    assert s.rank == 3 and s.descriptor == ("trivial-frame",)
+    assert s.rank == 3 and s.connection == Connection.flat(b, 3)
 
 
 def test_every_bundle_is_framed():
@@ -129,7 +130,7 @@ def test_every_bundle_is_framed():
         for u in (v, w):
             mu = KHatElement((u,), (StructuredBundle.trivial_flat(base, u.rank),))
             assert ch_khat(mu).harmonic_part().is_zero()
-            assert delta(mu).is_zero()
+            assert delta(mu) == 0
     assert curved_idempotent_bundles >= 10
 
 
