@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import holonomy as holo
@@ -106,9 +107,15 @@ def _suite_entry(label: str, results) -> dict:
     failures = sum(1 for r in results if not r.passed)
     return {"task": label, "verdict": "ok" if not failures else "fail",
             "output": f"{len(results) - failures}/{len(results)} checks passed",
-            "checks": [{"name": r.name, "statement": r.statement,
-                        "verdict": "ok" if r.passed else "fail",
-                        "detail": r.detail} for r in results]}
+            "checks": [_check_entry(r) for r in results]}
+
+
+def _check_entry(r) -> dict:
+    entry = {"name": r.name, "statement": r.statement,
+             "verdict": "ok" if r.passed else "fail", "detail": r.detail}
+    if r.failed_case is not None:
+        entry["case"] = r.failed_case
+    return entry
 
 
 def _expect(values, label, *types):
@@ -218,9 +225,11 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(ns, "tol", 1.0) <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 2
+    for opt in ("tol", "scale"):
+        # a NaN or infinite value has no meaning as a tolerance or a count
+        if not 0 < getattr(ns, opt, 1.0) < math.inf:
+            return _fail(ValueError(f"--{opt} must be positive and finite"),
+                         ns.format)
     return ns.fn(ns)
 
 

@@ -412,6 +412,11 @@ MAX_EXPONENT = 64
 # builds anything, so an input cannot ask for an unbounded matrix
 MAX_RANK = 64
 
+# the largest product of two term counts that a '*', a wedge or one step
+# of an integer '^' multiplies out, checked before it multiplies, so an
+# input cannot ask for an unbounded product; about a second of work
+MAX_TERMS = 100_000
+
 # value kinds in promotion order: TauScalar < ChartFunction < MatrixForm;
 # Connection, GaugeTransform, Idempotent do not mix in arithmetic
 
@@ -440,6 +445,20 @@ def located(at: tuple[int, int]):
         raise type(exc)(exc.message, *at) from None
     except ValueError as exc:
         raise SemanticError(str(exc), *at) from None
+
+
+def _terms(v) -> int:
+    if isinstance(v, MatrixForm):
+        return sum(len(f.terms) for f in v.entries.values())
+    return len(v.terms)
+
+
+def _times(a, b):
+    """a * b, or a ^ b for forms, once the term budget allows it."""
+    if _terms(a) * _terms(b) > MAX_TERMS:
+        raise _err(f"a product of {_terms(a)} by {_terms(b)} terms exceeds "
+                   f"the limit {MAX_TERMS}")
+    return a.wedge(b) if isinstance(a, MatrixForm) else a * b
 
 
 def _promote(v, base: BaseSpace, want: int):
@@ -536,9 +555,7 @@ class Evaluator:
             return left + right
         if node.op == "-":
             return left - right
-        if isinstance(left, MatrixForm):
-            return left.wedge(right)
-        return left * right
+        return _times(left, right)
 
     def _power(self, node: Bin):
         v = self.eval(node.left)
@@ -549,29 +566,25 @@ class Evaluator:
             rw = _promote(right, self.base, 2)
             if not isinstance(lw, MatrixForm) or not isinstance(rw, MatrixForm):
                 raise _err("'^' needs forms or an integer exponent")
-            return lw.wedge(rw)
+            return _times(lw, rw)
         n = _as_int(right, "the exponent")
         if abs(n) > MAX_EXPONENT:
             raise _err(f"exponent {n} exceeds the limit {MAX_EXPONENT}")
-        if isinstance(v, TauScalar):
-            if v == TauScalar.tau_power(1):
-                return TauScalar.tau_power(n)
-            if n < 0:
-                raise _err("negative powers only apply to tau")
-            out = TauScalar.one()
-            for _ in range(n):
-                out = out * v
-            return out
+        if isinstance(v, TauScalar) and v == TauScalar.tau_power(1):
+            return TauScalar.tau_power(n)
         if n < 0:
             raise _err("negative powers only apply to tau")
-        if isinstance(v, ChartFunction):
+        if isinstance(v, TauScalar):
+            out = TauScalar.one()
+        elif isinstance(v, ChartFunction):
             out = ChartFunction.one(self.base)
-            for _ in range(n):
-                out = out * v
-            return out
-        if isinstance(v, MatrixForm):
-            return v.wedge_power(n)
-        raise _err("cannot raise this value to a power")
+        elif isinstance(v, MatrixForm):
+            out = MatrixForm.identity(self.base, v.rows)
+        else:
+            raise _err("cannot raise this value to a power")
+        for _ in range(n):
+            out = _times(out, v)
+        return out
 
     def _call(self, node: Call):
         fn = node.fn

@@ -146,14 +146,6 @@ class MatrixForm:
                 accumulate(out, (r, c2, merged), prod)
         return MatrixForm(self.base, self.rows, other.cols, out)
 
-    def wedge_power(self, n: int) -> "MatrixForm":
-        if self.rows != self.cols:
-            raise ValueError("wedge power needs a square matrix")
-        result = MatrixForm.identity(self.base, self.rows)
-        for _ in range(n):
-            result = result.wedge(self)
-        return result
-
     def kron(self, other: "MatrixForm") -> "MatrixForm":
         """Kronecker (tensor) product of matrix forms."""
         if self.base != other.base:

@@ -118,7 +118,7 @@ def _loop_defects(conn: Connection, tol: float):
 def is_trivial_holonomy(conn: Connection, tol: float = DEFAULT_TOL) -> bool:
     """True iff transport around every coordinate torus loop (over the
     basepoint grid) is within tol of the identity in max-norm."""
-    if tol <= 0:
+    if not tol > 0:  # NaN compares false both ways
         raise ValueError("tolerance must be positive")
     return not any(defect > tol for defect in _loop_defects(conn, tol))
 

@@ -146,9 +146,10 @@ def test_suite_scale_smoke(capsys):
     ("check", "space R 0 T 1;\nconn c = flat(1000000000);\n", (2, 1)),
     ("check", "space R 1;\n\nconn c = flat(-1);\n", (3, 1)),
     ("check", "space R 1;\nconn c = tensor(flat(64), flat(64));\n", (2, 1)),
+    ("check", "space R 3;\nfn f = (x1+x2+x3)^64;\nfn g = f^64;\n", (3, 1)),
 ], ids=["realize-on-torus", "gauge-rank-mismatch", "exponent-budget",
         "line-needs-degree-1", "task-arity", "rank-budget", "negative-rank",
-        "tensor-rank-budget"])
+        "tensor-rank-budget", "term-budget"])
 def test_library_value_error_exits_2(tmp_path, verb, text, at):
     path = tmp_path / "bad.sb"
     path.write_text(text)
@@ -166,6 +167,24 @@ def test_library_value_error_exits_2(tmp_path, verb, text, at):
     # evaluates, reports that statement's first token
     assert (error["line"], error["column"]) == at
     assert err.startswith("error: line %d, column %d: " % at)
+
+
+@pytest.mark.parametrize("verb, opt, value", [
+    ("suite", "--scale", "nan"), ("suite", "--scale", "inf"),
+    ("suite", "--scale", "0"), ("suite", "--scale", "-1"),
+    ("run", "--tol", "nan"), ("run", "--tol", "inf"), ("run", "--tol", "0"),
+])
+def test_option_must_be_positive_and_finite(tmp_path, capsys, verb, opt, value):
+    path = tmp_path / "flat.sb"
+    path.write_text("space R 0 T 1; conn c = flat(1); task holonomy c;")
+    argv = [verb, str(path), opt, value] if verb == "run" else [verb, opt, value]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {opt} must be positive and finite\n"
+    assert cli.main(["--format", "json", *argv]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["message"] == f"{opt} must be positive and finite"
 
 
 def test_undecodable_file_exits_2_without_position(tmp_path):

@@ -44,6 +44,12 @@ def test_loop_validation():
         Loop(b, 0, (0.0,))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError):
+        is_trivial_holonomy(circle_connection(0), tol)
+
+
 def test_chart_only_connection_has_no_loops():
     b = BaseSpace(2, 0)
     conn = Connection.flat(b, 2)
