@@ -15,10 +15,9 @@ from .connections import (Connection, GaugeTransform, Idempotent,
 from .chern_simons import (ConnectionPath, cs_class, cs_path, cs_via_cylinder,
                            equivalent)
 from .gauge_theta import b_coefficient, lambda_gl_test, theta_pullback
-from .struct_khat import (KHatElement, StructuredBundle, ch_khat, cs_hat,
-                          delta, i_map, khat_add, khat_sub, khat_tensor,
-                          realize_even_form, realize_odd_form, struct_sum,
-                          struct_tensor)
+from .struct_khat import (KHatElement, ch_khat, cs_hat, delta, i_map,
+                          khat_add, khat_sub, khat_tensor, realize_even_form,
+                          realize_odd_form)
 from .holonomy import (Loop, holonomy_defect, is_trivial_holonomy,
                        parallel_transport)
 from .randgen import Bounds, RandomGen
@@ -36,9 +35,9 @@ __all__ = [
     "gauge_apply", "grassmann_sum", "hermitian_check", "tensor",
     "ConnectionPath", "cs_class", "cs_path", "cs_via_cylinder", "equivalent",
     "b_coefficient", "lambda_gl_test", "theta_pullback",
-    "KHatElement", "StructuredBundle", "ch_khat", "cs_hat", "delta", "i_map",
+    "KHatElement", "ch_khat", "cs_hat", "delta", "i_map",
     "khat_add", "khat_sub", "khat_tensor", "realize_even_form",
-    "realize_odd_form", "struct_sum", "struct_tensor",
+    "realize_odd_form",
     "Loop", "holonomy_defect", "is_trivial_holonomy", "parallel_transport",
     "Bounds", "RandomGen",
     "CheckResult", "run_battery",

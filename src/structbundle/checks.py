@@ -38,8 +38,8 @@ from .gauge_theta import (b_coefficient, b_coefficient_closed_form,
                           lambda_gl_test, theta_pullback)
 from .randgen import RandomGen
 from .scalars import TauScalar
-from .struct_khat import (KHatElement, StructuredBundle, cs_hat, ch_khat,
-                          delta, i_map, realize_odd_form, struct_sum)
+from .struct_khat import (KHatElement, cs_hat, ch_khat, delta, i_map,
+                          realize_odd_form)
 
 
 @dataclass
@@ -486,11 +486,11 @@ def check_winding(gen: RandomGen) -> str | None:
     flat = Connection.flat(bt, 1)
     for k in range(-3, 4):
         A = MatrixForm.const_scalar(bt, TauScalar.rational(0, k), (0,))
-        cls = cs_hat(StructuredBundle(Connection(bt, 1, A)))
+        cls = cs_hat(Connection(bt, 1, A))
         if cls.rep.period(Cycle(bt, (0,))) != TauScalar.rational(k):
             return f"k={k}"
     half = MatrixForm.const_scalar(bt, TauScalar.rational(0, Fraction(1, 2)), (0,))
-    cls = cs_hat(StructuredBundle(Connection(bt, 1, half)))
+    cls = cs_hat(Connection(bt, 1, half))
     verdict = lambda_gl_test(cls.rep, [GaugeTransform.fourier(bt, (1,))])
     if verdict.status != "nonmember" or verdict.witness[1] != TauScalar.rational(
             Fraction(1, 2)):
@@ -505,9 +505,9 @@ def check_winding(gen: RandomGen) -> str | None:
        "the flat-reference CS class of a sum is the sum of classes", 50)
 def check_cs_hat_hom(gen: RandomGen) -> str | None:
     base = gen.base_space(min_dim=1)
-    v = StructuredBundle(gen.connection(base, gen.rng.randint(1, 2)))
-    w = StructuredBundle(gen.connection(base, gen.rng.randint(1, 2)))
-    if cs_hat(struct_sum(v, w)) != cs_hat(v) + cs_hat(w):
+    v = gen.connection(base, gen.rng.randint(1, 2))
+    w = gen.connection(base, gen.rng.randint(1, 2))
+    if cs_hat(direct_sum(v, w)) != cs_hat(v) + cs_hat(w):
         return f"ranks {v.rank}+{w.rank}"
 
 
@@ -558,14 +558,14 @@ def check_ch_i_d(gen: RandomGen) -> str | None:
        "ch of formal differences is closed and class-invariant", 30)
 def check_diagram(gen: RandomGen) -> str | None:
     base = gen.base_space(min_dim=1)
-    v = StructuredBundle(gen.connection(base, gen.rng.randint(1, 2)))
-    flat = StructuredBundle.trivial_flat(base, v.rank)
+    v = gen.connection(base, gen.rng.randint(1, 2))
+    flat = Connection.flat(base, v.rank)
     mu = KHatElement((v,), (flat,))
     ch = ch_khat(mu)
     if ch.d():
         return "ch not closed"
     g = gen.gauge(base, v.rank)
-    moved = StructuredBundle(gauge_apply(g, v.connection))
+    moved = gauge_apply(g, v)
     if ch_khat(KHatElement((moved,), (flat,))) != ch:
         return "ch not representative-invariant"
     if delta(KHatElement((flat,), (flat,))):
@@ -578,7 +578,7 @@ def check_stably_flat(gen: RandomGen) -> str | None:
     base = gen.base_space(min_dim=1)
     n = gen.rng.randint(1, 2)
     g = gen.gauge(base, n)
-    v = StructuredBundle(gauge_apply(g, Connection.flat(base, n)))
+    v = gauge_apply(g, Connection.flat(base, n))
     verdict = lambda_gl_test(cs_hat(v).rep, [g], depth=1)
     if verdict.status != "member":
         return f"verdict {verdict.status}"
@@ -643,12 +643,23 @@ def check_rk4_order(gen: RandomGen) -> str | None:
 # ---------------------------------------------------------------------
 
 
+# the most cases one check may run, checked before any check runs, so a
+# --scale cannot ask for unbounded work; the largest default count is
+# 1000, so this allows scale 10, which ran in 39 s (scale 1: 4-6 s)
+MAX_CASES = 10_000
+
+
 def run_battery(seed: int = 42, scale: float = 1.0) -> list[CheckResult]:
     """Run the registered checks with a fresh seeded generator each."""
+    counts = [max(1, int(default_cases * scale)) if default_cases else 1
+              for _name, _statement, default_cases in CHECKS]
+    for (name, _statement, _default), cases in zip(CHECKS, counts):
+        if cases > MAX_CASES:
+            raise ValueError(f"scale {scale:g} asks {name} for more than "
+                             f"{MAX_CASES} cases")
     results = []
-    for name, statement, default_cases in CHECKS:
+    for (name, statement, _default), cases in zip(CHECKS, counts):
         fn, whole = _REGISTRY[name]
-        cases = max(1, int(default_cases * scale)) if default_cases else 1
         gen = RandomGen(seed)
         failure = at = None
         t0 = time.time()

@@ -187,7 +187,10 @@ def cmd_run(ns) -> int:
 
 
 def cmd_suite(ns) -> int:
-    results = run_battery(seed=ns.seed, scale=ns.scale)
+    try:
+        results = run_battery(seed=ns.seed, scale=ns.scale)
+    except ValueError as exc:  # a scale over the case budget
+        return _fail(exc, ns.format)
     entry = _suite_entry(f"suite seed={ns.seed}", results)
     _emit({"entries": [entry], "summary": entry["output"]}, ns.format)
     return 0 if entry["verdict"] == "ok" else 1

@@ -14,6 +14,7 @@ Grammar (semicolon-terminated statements):
               | builtin "(" args ")" | "(" expr ")"
 
 Coordinates are 1-indexed on the surface and 0-indexed internally.
+An expression tree is at most MAX_DEPTH levels high.
 Errors carry line and column; lexical, syntactic and semantic failures
 are distinct exception types.
 """
@@ -234,9 +235,15 @@ _COORD_RE = re.compile(r"^(d?)(x|th)([1-9]\d*)$")
 
 
 class _Parser:
+    """Recursive descent.  Expression methods return (node, height), and
+    ``open`` counts the parentheses and calls being parsed; both stop at
+    MAX_DEPTH.  A parenthesis adds no height, so a rendered scenario,
+    which has only the parentheses its trees need, parses back."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -262,6 +269,22 @@ class _Parser:
         if t.kind != "int":
             self.fail("a number")
         return int(self.next().text)
+
+    def above(self, t: Token, height: int) -> int:
+        """The height of a node over a child of height height, built at
+        t, once MAX_DEPTH allows it."""
+        if height >= MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels",
+                             t.line, t.col)
+        return height + 1
+
+    def nested(self, t: Token, parse, names: set[str]):
+        """parse(names) inside the parenthesis or call opened at t."""
+        self.above(t, self.open)
+        self.open += 1
+        result = parse(names)
+        self.open -= 1
+        return result
 
     def scenario(self) -> Scenario:
         chart = torus = None
@@ -298,7 +321,7 @@ class _Parser:
                     raise SemanticError(f"name {name!r} already defined",
                                         nt.line, nt.col)
                 self.expect("=")
-                expr = self.expr(names)
+                expr = self.expr(names)[0]
                 self.expect(";")
                 names.add(name)
                 defs.append((kind, name, expr))
@@ -311,7 +334,7 @@ class _Parser:
                 kind = self.next().text
                 args = []
                 while self.peek().text != ";":
-                    args.append(self.expr(names))
+                    args.append(self.expr(names)[0])
                 self.expect(";")
                 tasks.append((kind, tuple(args)))
                 task_at.append((t.line, t.col))
@@ -324,77 +347,87 @@ class _Parser:
                         tuple(def_at), tuple(task_at))
 
     def expr(self, names: set[str]):
-        node = self.term(names)
+        node, height = self.term(names)
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            node = Bin(op, node, self.term(names))
-        return node
+            t = self.next()
+            right, rh = self.term(names)
+            node, height = Bin(t.text, node, right), self.above(t, max(height, rh))
+        return node, height
 
     def term(self, names: set[str]):
-        node = self.unary(names)
+        node, height = self.unary(names)
         while self.peek().text in ("*", "/"):
-            op = self.next().text
-            node = Bin(op, node, self.unary(names))
-        return node
+            t = self.next()
+            right, rh = self.unary(names)
+            node, height = Bin(t.text, node, right), self.above(t, max(height, rh))
+        return node, height
 
     def unary(self, names: set[str]):
-        if self.peek().text == "-":
-            self.next()
-            return Neg(self.unary(names))
-        return self.power(names)
+        minuses = []
+        while self.peek().text == "-":
+            minuses.append(self.next())
+        node, height = self.power(names)
+        for t in reversed(minuses):
+            node, height = Neg(node), self.above(t, height)
+        return node, height
 
     def power(self, names: set[str]):
         # '^' is the wedge product between forms and the power operator
         # when the right-hand side is an integer; left associative
-        node = self.atom(names)
+        node, height = self.atom(names)
         while self.peek().text == "^":
-            self.next()
+            t = self.next()
             if self.peek().text == "-":
                 self.next()
-                node = Bin("^", node, Neg(Num(self.expect_int())))
+                right, rh = Neg(Num(self.expect_int())), 2
             else:
-                node = Bin("^", node, self.atom(names))
-        return node
+                right, rh = self.atom(names)
+            node, height = Bin("^", node, right), self.above(t, max(height, rh))
+        return node, height
 
     def atom(self, names: set[str]):
         t = self.peek()
         if t.kind == "int":
-            return Num(int(self.next().text))
+            return Num(int(self.next().text)), 1
         if t.text == "(":
             self.next()
-            node = self.expr(names)
+            node, height = self.nested(t, self.expr, names)
             self.expect(")")
-            return node
+            return node, height
         if t.kind != "ident":
             self.fail("an expression")
         if t.text == "tau":
             self.next()
-            return Tau()
+            return Tau(), 1
         if t.text == "i":
             self.next()
-            return Imag()
+            return Imag(), 1
         m = _COORD_RE.match(t.text)
         if m and t.text not in names:
             self.next()
             d, kind, idx = m.groups()
             node = Coord(kind, int(idx)) if not d else Diff(kind, int(idx))
-            return node
+            return node, 1
         if t.text in BUILTINS:
-            fn = self.next().text
-            self.expect("(")
-            args = []
-            if self.peek().text != ")":
-                args.append(self.expr(names))
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.expr(names))
-            self.expect(")")
-            return Call(fn, tuple(args))
+            return self.nested(t, self.call, names)
         if t.text in KEYWORDS:
             self.fail("an expression")
         if t.text not in names:
             raise SemanticError(f"unknown name {t.text!r}", t.line, t.col)
-        return Name(self.next().text)
+        return Name(self.next().text), 1
+
+    def call(self, names: set[str]):
+        t = self.next()
+        self.expect("(")
+        args = []
+        if self.peek().text != ")":
+            args.append(self.expr(names))
+            while self.peek().text == ",":
+                self.next()
+                args.append(self.expr(names))
+        self.expect(")")
+        return (Call(t.text, tuple(a for a, _ in args)),
+                self.above(t, max((h for _, h in args), default=0)))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -416,6 +449,12 @@ MAX_RANK = 64
 # of an integer '^' multiplies out, checked before it multiplies, so an
 # input cannot ask for an unbounded product; about a second of work
 MAX_TERMS = 100_000
+
+# the largest height of an expression tree (each call, unary minus and
+# binary operator is a level) and the most parentheses and calls open at
+# once; checked as the parser reads, so that parsing, evaluating and
+# rendering stay a few hundred Python frames deep
+MAX_DEPTH = 64
 
 # value kinds in promotion order: TauScalar < ChartFunction < MatrixForm;
 # Connection, GaugeTransform, Idempotent do not mix in arithmetic

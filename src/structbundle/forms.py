@@ -220,9 +220,6 @@ class MatrixForm:
 
     # -- structure queries --------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 
@@ -463,8 +460,8 @@ class OddClass:
     def __sub__(self, other: "OddClass") -> "OddClass":
         return OddClass(self.rep - other.rep)
 
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
+    def __bool__(self) -> bool:
+        return bool(self.rep)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OddClass) and self.rep == other.rep

@@ -173,9 +173,6 @@ class ChartFunction:
 
     # -- structure queries --------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -53,7 +53,7 @@ def theta_pullback(g: GaugeTransform) -> MatrixForm:
     for j in range(1, (base.dim + 1) // 2 + 1):
         if j > 1:
             power = power.wedge(M).wedge(M)
-        if power.is_zero():
+        if not power:
             break
         total = total + power.trace().scale(b_coefficient(j))
     return total

@@ -207,9 +207,6 @@ class TauScalar:
 
     # -- predicates and boundary --------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

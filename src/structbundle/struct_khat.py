@@ -1,13 +1,15 @@
 """Structured bundles, their semiring, and the K-hat group of formal
 differences.
 
-A structured bundle is a connection on a trivial bundle, taken up to the
-transgression-form equivalence relation.  Every finitely generated
-projective module over Q(i)[tau^+-1][x][z^+-1] is free (Quillen-Suslin,
-Swan), so nothing is lost: K^0 is Z, delta is the signed rank, and
-cs_hat always has a flat reference of the same rank.  The centerpiece is
-realize_odd_form: every odd form on a chart-only base is the
-flat-reference transgression class of a sum of line bundles.
+A structured bundle is a Connection on a trivial bundle standing for
+its transgression-form class: two are equal exactly when
+chern_simons.equivalent says so, not when they are == as connections.
+Every finitely generated projective module over Q(i)[tau^+-1][x][z^+-1]
+is free (Quillen-Suslin, Swan), so nothing is lost: K^0 is Z, delta is
+the signed rank, and cs_hat always has a flat reference of the same
+rank.  The centerpiece is realize_odd_form: every odd form on a
+chart-only base is the flat-reference transgression class of a sum of
+line bundles.
 """
 
 from __future__ import annotations
@@ -17,51 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern_simons import cs_class
-from .connections import (Connection, Idempotent, direct_sum,
-                          grassmann_sum, tensor)
+from .connections import Connection, tensor
 from .forms import MatrixForm, OddClass
 from .functions import BaseSpace, ChartFunction
 from .scalars import TauScalar
 
 
-@dataclass(frozen=True)
-class StructuredBundle:
-    """A framed connection, representing its equivalence class."""
-
-    connection: Connection
-
-    __hash__ = None  # holds a MatrixForm, which is unhashable
-
-    @property
-    def base(self) -> BaseSpace:
-        return self.connection.base
-
-    @property
-    def rank(self) -> int:
-        return self.connection.rank
-
-    @staticmethod
-    def trivial_flat(base: BaseSpace, n: int) -> "StructuredBundle":
-        return StructuredBundle(Connection.flat(base, n))
-
-    @staticmethod
-    def from_idempotent(P: Idempotent) -> "StructuredBundle":
-        return StructuredBundle(grassmann_sum(P))
-
-
-def struct_sum(v: StructuredBundle, w: StructuredBundle) -> StructuredBundle:
-    if v.base != w.base:
-        raise ValueError("mismatched base spaces")
-    return StructuredBundle(direct_sum(v.connection, w.connection))
-
-
-def struct_tensor(v: StructuredBundle, w: StructuredBundle) -> StructuredBundle:
-    if v.base != w.base:
-        raise ValueError("mismatched base spaces")
-    return StructuredBundle(tensor(v.connection, w.connection))
-
-
-def cs_hat(v: StructuredBundle) -> OddClass:
+def cs_hat(conn: Connection) -> OddClass:
     """Transgression class against the flat reference of the same rank.
 
     Every bundle here is framed, so the flat connection of its rank is
@@ -69,7 +33,7 @@ def cs_hat(v: StructuredBundle) -> OddClass:
     The consumer interprets the result modulo Lambda_GL via
     lambda_gl_test.
     """
-    return cs_class(Connection.flat(v.base, v.rank), v.connection)
+    return cs_class(Connection.flat(conn.base, conn.rank), conn)
 
 
 def _line_cs(w: MatrixForm) -> MatrixForm:
@@ -81,7 +45,7 @@ def _line_cs(w: MatrixForm) -> MatrixForm:
     power = w
     j = 1
     while 2 * j - 1 <= base.dim:
-        if power.is_zero():
+        if not power:
             break
         coeff = TauScalar.tau_power(-j).scale(Fraction(1, math.factorial(j)))
         total = total + power.scale(coeff)
@@ -90,7 +54,7 @@ def _line_cs(w: MatrixForm) -> MatrixForm:
     return total
 
 
-def realize_odd_form(rho: MatrixForm) -> StructuredBundle:
+def realize_odd_form(rho: MatrixForm) -> Connection:
     """A direct sum of line bundles whose flat-reference transgression
     class equals rho modulo exact forms.
 
@@ -139,20 +103,20 @@ def realize_odd_form(rho: MatrixForm) -> StructuredBundle:
     n = len(lines)
     A = MatrixForm(base, n, n, {(i, i, mono): f for i, w in enumerate(lines)
                                 for (_r, _c, mono), f in w.entries.items()})
-    return StructuredBundle(Connection(base, n, A))
+    return Connection(base, n, A)
 
 
 @dataclass(frozen=True)
 class KHatElement:
     """Formal difference of structured bundles (plus minus minus)."""
 
-    plus: tuple[StructuredBundle, ...]
-    minus: tuple[StructuredBundle, ...]
+    plus: tuple[Connection, ...]
+    minus: tuple[Connection, ...]
 
     __hash__ = None  # holds a MatrixForm, which is unhashable
 
     @staticmethod
-    def of(v: StructuredBundle) -> "KHatElement":
+    def of(v: Connection) -> "KHatElement":
         return KHatElement((v,), ())
 
     @property
@@ -175,10 +139,10 @@ def khat_sub(mu: KHatElement, nu: KHatElement) -> KHatElement:
 def khat_tensor(mu: KHatElement, nu: KHatElement) -> KHatElement:
     """Pairs formula: (V - W)(V' - W') = (VV' + WW') - (WV' + VW')."""
     _check_bases(mu, nu)
-    plus = tuple(struct_tensor(a, b) for a in mu.plus for b in nu.plus)
-    plus += tuple(struct_tensor(a, b) for a in mu.minus for b in nu.minus)
-    minus = tuple(struct_tensor(a, b) for a in mu.minus for b in nu.plus)
-    minus += tuple(struct_tensor(a, b) for a in mu.plus for b in nu.minus)
+    plus = tuple(tensor(a, b) for a in mu.plus for b in nu.plus)
+    plus += tuple(tensor(a, b) for a in mu.minus for b in nu.minus)
+    minus = tuple(tensor(a, b) for a in mu.minus for b in nu.plus)
+    minus += tuple(tensor(a, b) for a in mu.plus for b in nu.minus)
     return KHatElement(plus, minus)
 
 
@@ -201,9 +165,9 @@ def ch_khat(mu: KHatElement) -> MatrixForm:
         raise ValueError("cannot take ch of the empty element without a base")
     total = MatrixForm.zero(base, 1, 1)
     for v in mu.plus:
-        total = total + v.connection.chern_character()
+        total = total + v.chern_character()
     for v in mu.minus:
-        total = total - v.connection.chern_character()
+        total = total - v.chern_character()
     return total
 
 
@@ -214,14 +178,13 @@ def i_map(theta: MatrixForm) -> KHatElement:
     delta is the signed rank.
     """
     v = realize_odd_form(theta)
-    flat = StructuredBundle.trivial_flat(theta.base, v.rank)
-    return KHatElement((v,), (flat,))
+    return KHatElement((v,), (Connection.flat(theta.base, v.rank),))
 
 
-def realize_even_form(mu: MatrixForm, v: StructuredBundle,
+def realize_even_form(mu: MatrixForm, conn: Connection,
                       theta: MatrixForm) -> KHatElement:
     """Element with Chern character mu, given a decomposition
-    mu = ch(v) + d theta (supplied, and checked, not searched)."""
-    if mu != v.connection.chern_character() + theta.d():
-        raise ValueError("decomposition identity mu = ch(v) + d theta fails")
-    return khat_add(KHatElement.of(v), i_map(theta))
+    mu = ch(conn) + d theta (supplied, and checked, not searched)."""
+    if mu != conn.chern_character() + theta.d():
+        raise ValueError("decomposition identity mu = ch(conn) + d theta fails")
+    return khat_add(KHatElement.of(conn), i_map(theta))

@@ -26,8 +26,7 @@ from structbundle.gauge_theta import lambda_gl_test, theta_pullback
 from structbundle.holonomy import Loop, parallel_transport
 from structbundle.randgen import Bounds, RandomGen
 from structbundle.scalars import TauScalar
-from structbundle.struct_khat import (StructuredBundle, ch_khat, cs_hat,
-                                      i_map, realize_odd_form)
+from structbundle.struct_khat import ch_khat, cs_hat, i_map, realize_odd_form
 
 BOUNDS = Bounds(max_coords=4, max_rank=3, max_poly_degree=2, max_fourier=2)
 
@@ -147,9 +146,9 @@ def test_05_winding_integrality_and_rejection():
     refuted with a witness."""
     b = BaseSpace(0, 1)
     for k in range(-3, 4):
-        cls = cs_hat(StructuredBundle(circle_connection(k)))
+        cls = cs_hat(circle_connection(k))
         assert cls.rep.period(Cycle(b, (0,))) == TauScalar.rational(k)
-    half = StructuredBundle(circle_connection(Fraction(1, 2)))
+    half = circle_connection(Fraction(1, 2))
     verdict = lambda_gl_test(cs_hat(half).rep,
                              [GaugeTransform.fourier(b, (1,))])
     assert verdict.status == "nonmember"

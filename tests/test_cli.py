@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from structbundle import cli
+from structbundle import checks, cli, dsl
 from structbundle.chern_simons import ConnectionPath, cs_path
 from structbundle.connections import Connection, gauge_apply
 from structbundle.dsl import (Evaluator, LexError, Name, ParseError,
@@ -167,6 +168,92 @@ def test_library_value_error_exits_2(tmp_path, verb, text, at):
     # evaluates, reports that statement's first token
     assert (error["line"], error["column"]) == at
     assert err.startswith("error: line %d, column %d: " % at)
+
+
+@pytest.mark.parametrize("expr, column", [
+    ("(" * 200 + "x1" + ")" * 200, 72),  # the 65th '('
+    ("+".join(["x1"] * 500), 199),  # the 64th '+'
+    ("-" * 1000 + "x1", 944),  # the 64th '-' from the inside
+    ("x1" + "^1" * 3000, 136),  # the 64th '^'
+], ids=["parentheses", "sum", "unary-minus", "power-chain"])
+@pytest.mark.parametrize("verb", ["check", "run"])
+def test_deep_expression_exits_2_at_its_token(tmp_path, capsys, verb, expr,
+                                              column):
+    """A tree taller than dsl.MAX_DEPTH is a parse error at the token that
+    would make it so, not a RecursionError."""
+    path = tmp_path / "deep.sb"
+    path.write_text(f"space R 1;\nfn f = {expr};\n")
+    message = f"expression deeper than {dsl.MAX_DEPTH} levels"
+    assert cli.main([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 2, column {column}: {message}\n"
+    assert cli.main(["--format", "json", verb, str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"message": message, "line": 2, "column": column}
+
+
+def test_expression_at_max_depth_runs_and_round_trips(tmp_path):
+    # nested calls take the most Python frames per level, and render
+    # writes a chain of minuses with a parenthesis around each inner one
+    n = dsl.MAX_DEPTH - 1
+    path = tmp_path / "deepest.sb"
+    path.write_text(f"space R 1;\nform w = {'d(' * n}x1{')' * n};\n"
+                    f"fn f = {'-' * n}x1;\ntask ch line(dx1);\n")
+    assert cli.main(["run", str(path)]) == 0
+    scenario = parse_scenario(path.read_text())
+    assert parse_scenario(scenario.render()) == scenario
+
+
+def test_suite_scale_over_the_case_budget_exits_2(monkeypatch, capsys):
+    def no_battery(seed):
+        raise AssertionError("the battery started")
+    monkeypatch.setattr(checks, "RandomGen", no_battery)
+    message = (f"scale 1e+300 asks scalar-ring-axioms for more than "
+               f"{checks.MAX_CASES} cases")
+    assert cli.main(["suite", "--scale", "1e300"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert cli.main(["--format", "json", "suite", "--scale", "1e300"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"message": message, "line": None, "column": None}
+
+
+# token streams from the DSL's own vocabulary: raw streams, which mostly
+# stop in the parser, and streams of definitions and tasks over
+# well-formed expressions, which reach the evaluator and its builtins
+ATOMS = ("tau", "i", "x1", "x2", "th1", "dx1", "dx2", "dth1", "a", "b",
+         "0", "1", "2", "3")
+SYMBOLS = (";", "=", "(", ")", ",", "+", "-", "*", "/", "^")
+EXPRESSIONS = st.recursive(
+    st.sampled_from(ATOMS).map(lambda t: [t]),
+    lambda inner: st.one_of(
+        st.builds(lambda a, op, b: a + [op] + b,
+                  inner, st.sampled_from("+-*/^"), inner),
+        inner.map(lambda a: ["-", "("] + a + [")"]),
+        st.builds(lambda fn, args: [fn, "("] + [t for arg in args
+                                                for t in arg + [","]][:-1] + [")"],
+                  st.sampled_from(dsl.BUILTINS), st.lists(inner, max_size=3))),
+    max_leaves=6)
+STATEMENTS = st.one_of(
+    st.builds(lambda kind, name, e: [kind, name, "="] + e + [";"],
+              st.sampled_from(dsl.DEF_KINDS), st.sampled_from("ab"), EXPRESSIONS),
+    st.builds(lambda kind, e: ["task", kind] + e + [";"],
+              st.sampled_from(dsl.TASK_KINDS), EXPRESSIONS),
+    st.lists(st.sampled_from(dsl.KEYWORDS + dsl.BUILTINS + ATOMS + SYMBOLS
+                             + ("task",)), max_size=8))
+STREAMS = st.builds(
+    lambda head, body: (head + [t for stmt in body for t in stmt])[:30],
+    st.sampled_from([[], ["space", "R", "1", ";"],
+                     ["space", "R", "2", "T", "1", ";"]]),
+    st.lists(STATEMENTS, max_size=4))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(STREAMS)
+def test_check_is_total_on_token_streams(tmp_path, tokens):
+    path = tmp_path / "stream.sb"
+    path.write_text(" ".join(tokens))
+    assert cli.main(["check", str(path)]) in (0, 2)
 
 
 @pytest.mark.parametrize("verb, opt, value", [

@@ -140,7 +140,7 @@ def test_determinant_matches_cs_hat_periods():
     from structbundle.connections import gauge_apply
     from structbundle.forms import Cycle
     from structbundle.randgen import RandomGen
-    from structbundle.struct_khat import StructuredBundle, cs_hat
+    from structbundle.struct_khat import cs_hat
     gen = RandomGen(89)
     worst = 0.0
     for _ in range(36):
@@ -153,7 +153,7 @@ def test_determinant_matches_cs_hat_periods():
                     TauScalar({0: gen.gauss_rational()}))
                 A = A + MatrixForm(base, n, n, {(r, r, (k,)): c})
         conn = Connection(base, n, A)
-        rep = cs_hat(StructuredBundle(conn)).rep
+        rep = cs_hat(conn).rep
         bp = tuple(gen.rng.uniform(-2, 2) for _ in range(base.dim))
         for j in range(base.torus_dim):
             p = rep.period(Cycle(base, (j,))).to_complex()
@@ -166,7 +166,7 @@ def test_determinant_matches_cs_hat_periods():
         base = BaseSpace(gen.rng.randint(0, 1), gen.rng.randint(1, 2))
         n = gen.rng.randint(1, 2)
         g = gen.gauge(base, n)
-        rep = cs_hat(StructuredBundle(gauge_apply(g, Connection.flat(base, n)))).rep
+        rep = cs_hat(gauge_apply(g, Connection.flat(base, n))).rep
         windings += [rep.period(Cycle(base, (j,))) for j in range(base.torus_dim)]
     assert all(p.is_integer() for p in windings)
     assert any(p.as_integer() for p in windings)
