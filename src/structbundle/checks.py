@@ -16,11 +16,15 @@ whole, ``fn(gen, cases)``, and run their own cases: `b-coefficients`
 uses the case number as its j, and `odd-monomial-reduction` runs all
 its cases for k = 1 before those for k = 2, an order per-case calls
 would change.
+
+With jobs > 1 ``run_battery`` runs each check in a forked worker, so a
+check must not rely on state left by another check.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -649,32 +653,62 @@ def check_rk4_order(gen: RandomGen) -> str | None:
 MAX_CASES = 10_000
 
 
-def run_battery(seed: int = 42, scale: float = 1.0) -> list[CheckResult]:
-    """Run the registered checks with a fresh seeded generator each."""
-    counts = [max(1, int(default_cases * scale)) if default_cases else 1
-              for _name, _statement, default_cases in CHECKS]
-    for (name, _statement, _default), cases in zip(CHECKS, counts):
+def _run_check(task: tuple[int, str, str, int]) -> CheckResult:
+    """Run one check, given as (seed, name, statement, cases), on a fresh
+    generator, in this process or in a worker."""
+    seed, name, statement, cases = task
+    fn, whole = _REGISTRY[name]
+    gen = RandomGen(seed)
+    failure = at = None
+    t0 = time.perf_counter()
+    try:
+        if whole:
+            failure = fn(gen, cases)
+        else:
+            for at in range(cases):
+                failure = fn(gen)
+                if failure is not None:
+                    break
+    except Exception as exc:  # a raised invariant is a failure too
+        failure = f"exception: {exc}"
+    dt = time.perf_counter() - t0
+    passed = failure is None
+    return CheckResult(name, statement, passed, cases, dt,
+                       failure or "", None if passed else at)
+
+
+def _fork_pool(max_workers: int):
+    """A process pool whose workers fork from this process: they see the
+    registry as it stands and skip the package import that spawn would
+    repeat.  Imported here, as the import costs milliseconds that a
+    serial run need not pay."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers,
+                               mp_context=multiprocessing.get_context("fork"))
+
+
+def run_battery(seed: int = 42, scale: float = 1.0,
+                jobs: int | None = None) -> list[CheckResult]:
+    """Run the registered checks with a fresh seeded generator each, on
+    up to jobs processes (default and most: the usable CPUs), and return
+    their results in registry order.  A worker that dies raises
+    BrokenProcessPool, a RuntimeError."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    tasks = [(seed, name, statement,
+              max(1, int(default_cases * scale)) if default_cases else 1)
+             for name, statement, default_cases in CHECKS]
+    for _seed, name, _statement, cases in tasks:
         if cases > MAX_CASES:
             raise ValueError(f"scale {scale:g} asks {name} for more than "
                              f"{MAX_CASES} cases")
-    results = []
-    for (name, statement, _default), cases in zip(CHECKS, counts):
-        fn, whole = _REGISTRY[name]
-        gen = RandomGen(seed)
-        failure = at = None
-        t0 = time.time()
-        try:
-            if whole:
-                failure = fn(gen, cases)
-            else:
-                for at in range(cases):
-                    failure = fn(gen)
-                    if failure is not None:
-                        break
-        except Exception as exc:  # a raised invariant is a failure too
-            failure = f"exception: {exc}"
-        dt = time.time() - t0
-        passed = failure is None
-        results.append(CheckResult(name, statement, passed, cases, dt,
-                                   failure or "", None if passed else at))
-    return results
+    cpus = len(os.sched_getaffinity(0))
+    jobs = min(cpus if jobs is None else jobs, cpus, len(tasks))
+    if jobs <= 1:
+        return [_run_check(task) for task in tasks]
+    # the slow numeric checks come last in the registry, so submit from
+    # the end to start them first
+    with _fork_pool(jobs) as pool:
+        results = list(pool.map(_run_check, reversed(tasks)))
+    return results[::-1]

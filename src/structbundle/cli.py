@@ -177,7 +177,8 @@ def cmd_run(ns) -> int:
         for (kind, args), at in zip(scenario.tasks, scenario.task_at):
             with located(at):
                 entries.append(run_task(kind, args, ev, ns.tol))
-    except (OSError, DslError, ValueError) as exc:
+    except (OSError, DslError, ValueError, RuntimeError) as exc:
+        # a RuntimeError: a suite task's battery worker died
         return _fail(exc, ns.format)
     failures = sum(1 for e in entries if e["verdict"] != "ok")
     report = {"entries": entries,
@@ -188,8 +189,9 @@ def cmd_run(ns) -> int:
 
 def cmd_suite(ns) -> int:
     try:
-        results = run_battery(seed=ns.seed, scale=ns.scale)
-    except ValueError as exc:  # a scale over the case budget
+        results = run_battery(seed=ns.seed, scale=ns.scale, jobs=ns.jobs)
+    except (ValueError, RuntimeError) as exc:
+        # a scale over the case budget, jobs below 1, or a worker that died
         return _fail(exc, ns.format)
     entry = _suite_entry(f"suite seed={ns.seed}", results)
     _emit({"entries": [entry], "summary": entry["output"]}, ns.format)
@@ -218,6 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=42)
     ps.add_argument("--scale", type=float, default=1.0,
                     help="multiplier on per-check case counts")
+    ps.add_argument("--jobs", type=int, default=None,
+                    help="worker processes (default: the usable CPUs; "
+                         "1 runs in-process, for profiling)")
     ps.set_defaults(fn=cmd_suite)
     return p
 

@@ -274,6 +274,19 @@ def test_option_must_be_positive_and_finite(tmp_path, capsys, verb, opt, value):
     assert error["message"] == f"{opt} must be positive and finite"
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_jobs_must_be_at_least_1(monkeypatch, capsys, value):
+    def no_battery(seed):
+        raise AssertionError("the battery started")
+    monkeypatch.setattr(checks, "RandomGen", no_battery)
+    message = f"jobs must be at least 1, got {value}"
+    assert cli.main(["suite", "--jobs", value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert cli.main(["--format", "json", "suite", "--jobs", value]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"message": message, "line": None, "column": None}
+
+
 def test_undecodable_file_exits_2_without_position(tmp_path):
     path = tmp_path / "latin1.sb"
     path.write_bytes("space R 1;\nfn f = x1; # \u00e9\n".encode("latin-1"))
